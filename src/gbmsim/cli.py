@@ -13,8 +13,15 @@ from pathlib import Path
 
 from .config import RunConfig, parse_config
 from .errors import SimulationError
-from .experiments import DEFAULT_PARAMETERS, PARAMETER_NAMES, PARAMETER_RANGES
-from .output import write_metrics_csv, write_snapshot
+from .experiments import (
+    DEFAULT_PARAMETERS,
+    DEFAULT_UNIFORM_LEVEL,
+    DEFAULT_ZONE_BASE,
+    DEFAULT_ZONES,
+    PARAMETER_NAMES,
+    PARAMETER_RANGES,
+)
+from .output import write_metrics_csv, write_snapshot, write_trajectory_csv
 from .solver import run, run_homogeneous
 
 __all__ = ["main", "entry"]
@@ -61,13 +68,6 @@ def _write_run_outputs(result, out_dir: Path, vtk: bool) -> None:
     for state in result.snapshots:
         name = f"snapshot_t{state.time:.6f}.csv"
         write_snapshot(state, result.mesh, out_dir / name, vtk=vtk)
-    for violation in result.bound_violations:
-        print(
-            f"warning: {violation.field} left its bounds at step "
-            f"{violation.step_index} (t={violation.time:.6g}): "
-            f"{violation.value:.6e}",
-            file=sys.stderr,
-        )
 
 
 def _cmd_run(args) -> int:
@@ -106,23 +106,9 @@ def _cmd_ode(args) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stride = config.solver.metrics_every
-    last = len(trajectory) - 1
-    lines = ["t,T,N,Phi"]
-    for i in range(len(trajectory)):
-        if i % stride == 0 or i == last:
-            lines.append(
-                ",".join(
-                    repr(float(v))
-                    for v in (
-                        trajectory.times[i],
-                        trajectory.t_density[i],
-                        trajectory.n_density[i],
-                        trajectory.phi_density[i],
-                    )
-                )
-            )
-    (out_dir / "trajectory.csv").write_text("\n".join(lines) + "\n", newline="\n")
+    write_trajectory_csv(
+        trajectory, config.solver.metrics_every, out_dir / "trajectory.csv"
+    )
     return 0
 
 
@@ -134,8 +120,12 @@ def _cmd_presets(args) -> int:
     for name in PARAMETER_NAMES:
         lo, hi = PARAMETER_RANGES[name]
         print(f"  {name} in [{lo}, {hi}]")
-    print("ring preset: uniform vasculature 0.5, necrosis 0")
-    print("surface preset: three vasculature discs (0.8/0.5/0.2) on base 0.1")
+    print(f"ring preset: uniform vasculature {DEFAULT_UNIFORM_LEVEL}, necrosis 0")
+    levels = dict.fromkeys(zone.level for zone in DEFAULT_ZONES)
+    print(
+        f"surface preset: {len(levels)} vasculature corridors "
+        f"({'/'.join(map(str, levels))}) on base {DEFAULT_ZONE_BASE}"
+    )
     return 0
 
 

@@ -2,13 +2,16 @@
 
 The mesh splits every grid cell along the same diagonal, which keeps all
 triangles right (nonobtuse) and makes the stiffness matrix an M-matrix for
-constant diffusivity.  The stiffness sparsity pattern is computed once per
-mesh; only the values are refreshed when the diffusivity field changes.
+constant diffusivity.  The diagonal coupling of a right triangle vanishes,
+so the stiffness matrix is a variable-coefficient 5-point stencil: its edge
+conductances are sliced from the diffusivity on the vertex grid and written
+into a fixed CSR layout computed once per grid size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -22,24 +25,6 @@ __all__ = [
     "assemble_stiffness",
     "lumped_integral",
 ]
-
-
-@dataclass
-class _AssemblyPattern:
-    """Precomputed stiffness structure for one mesh.
-
-    ``grad_products[k, 3*i + j]`` holds area_k * grad(phi_i) . grad(phi_j) on
-    triangle k, so the assembled entry values are linear in the per-triangle
-    diffusivity.  ``slot`` maps each of the 9 local entries per triangle to
-    its position in the canonical CSR data array.
-    """
-
-    grad_products: np.ndarray
-    slot: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    diag_slots: np.ndarray
-    nnz: int
 
 
 @dataclass
@@ -62,9 +47,6 @@ class StructuredTriMesh:
     triangles: np.ndarray
     lumped_weights: np.ndarray
     diagonal: str = "main"
-    _pattern: _AssemblyPattern | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def num_vertices(self) -> int:
@@ -155,19 +137,15 @@ def build_mesh(bounds, n_sub: int, diagonal: str = "main") -> StructuredTriMesh:
     return mesh
 
 
-def _signed_areas(mesh: StructuredTriMesh) -> np.ndarray:
-    p = mesh.vertices[mesh.triangles]
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-
-
 def lumped_mass(mesh: StructuredTriMesh) -> np.ndarray:
     """Per-vertex lumped mass weights: one third of the adjacent triangle areas.
 
     Strictly positive; sums to the domain area.
     """
-    areas = _signed_areas(mesh)
+    p = mesh.vertices[mesh.triangles]
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     if np.any(areas <= 0.0):
         raise MeshError("mesh contains a nonpositively oriented triangle")
     contrib = np.repeat(areas / 3.0, 3)
@@ -176,67 +154,45 @@ def lumped_mass(mesh: StructuredTriMesh) -> np.ndarray:
     )
 
 
-def _assembly_pattern(mesh: StructuredTriMesh) -> _AssemblyPattern:
-    if mesh._pattern is not None:
-        return mesh._pattern
+@functools.lru_cache(maxsize=None)
+def _stencil_layout(n_sub: int):
+    """CSR layout of the 5-point stencil on the (n_sub + 1)^2 vertex grid.
 
-    tri = mesh.triangles
-    nv = mesh.num_vertices
-    p = mesh.vertices[tri]
-    areas = _signed_areas(mesh)
-
-    # Constant P1 gradients: grad(phi_i) = (y_j - y_k, x_k - x_j) / (2 area)
-    # for (i, j, k) cyclic.
-    x = p[..., 0]
-    y = p[..., 1]
-    bx = np.stack(
-        [y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1
-    )
-    by = np.stack(
-        [x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1
-    )
-    inv2a = 1.0 / (2.0 * areas)
-    bx *= inv2a[:, None]
-    by *= inv2a[:, None]
-
-    grad_products = (
-        bx[:, :, None] * bx[:, None, :] + by[:, :, None] * by[:, None, :]
-    ) * areas[:, None, None]
-    grad_products = grad_products.reshape(-1, 9)
-
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    keys = rows.astype(np.int64) * nv + cols
-    unique_keys, slot = np.unique(keys, return_inverse=True)
-
-    indices = (unique_keys % nv).astype(np.int32)
-    row_of_slot = unique_keys // nv
-    counts = np.bincount(row_of_slot, minlength=nv)
-    indptr = np.zeros(nv + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-
-    diag_keys = np.arange(nv, dtype=np.int64) * (nv + 1)
-    diag_slots = np.searchsorted(unique_keys, diag_keys)
-
-    pattern = _AssemblyPattern(
-        grad_products=grad_products,
-        slot=slot,
-        indices=indices,
-        indptr=indptr,
-        diag_slots=diag_slots,
-        nnz=unique_keys.size,
-    )
-    mesh._pattern = pattern
-    return pattern
+    Returns read-only ``(gather, indices, indptr, diag_slots)``.  Row r of the
+    matrix stores its south, west, centre, east and north entries, in that
+    (column-sorted) order, skipping neighbours outside the grid; ``gather``
+    picks those entries out of a flattened (5, n_sub + 1, n_sub + 1) stencil.
+    """
+    m = n_sub + 1
+    present = np.ones((m, m, 5), dtype=bool)
+    present[0, :, 0] = False
+    present[:, 0, 1] = False
+    present[:, -1, 3] = False
+    present[-1, :, 4] = False
+    row, position = np.nonzero(present.reshape(m * m, 5))
+    gather = position * (m * m) + row
+    indices = (row + np.array([-m, -1, 0, 1, m])[position]).astype(np.int32)
+    indptr = np.zeros(m * m + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=2).ravel(), out=indptr[1:])
+    diag_slots = np.flatnonzero(position == 2)
+    layout = (gather, indices, indptr, diag_slots)
+    for array in layout:
+        array.flags.writeable = False
+    return layout
 
 
 def assemble_stiffness(mesh: StructuredTriMesh, diffusivity) -> sparse.csr_matrix:
     """Assemble the variable-coefficient stiffness matrix.
 
     The per-triangle diffusivity is the arithmetic mean of the three vertex
-    values, which preserves symmetry and is exact for constant fields.  The
-    zero-flux boundary condition is natural: no rows are modified and the
-    matrix annihilates constants.
+    values, which preserves symmetry and is exact for constant fields.  Every
+    triangle is right with its right angle opposite the cell diagonal, so
+    the diagonal coupling (cot 90 deg) vanishes and the matrix is a 5-point
+    stencil: a horizontal edge conducts hy / (2 hx) times the sum of the
+    means of its one or two triangles, a vertical edge hx / (2 hy) times
+    theirs.  The zero-flux boundary condition is natural: no rows are
+    modified and each diagonal entry is minus its row's off-diagonal sum, so
+    the matrix annihilates constants.
     """
     diffusivity = np.asarray(diffusivity, dtype=float)
     if diffusivity.shape != (mesh.num_vertices,):
@@ -244,12 +200,41 @@ def assemble_stiffness(mesh: StructuredTriMesh, diffusivity) -> sparse.csr_matri
             f"diffusivity has length {diffusivity.size}, "
             f"mesh has {mesh.num_vertices} vertices"
         )
-    pattern = _assembly_pattern(mesh)
-    d_tri = diffusivity[mesh.triangles].sum(axis=1) / 3.0
-    entries = (pattern.grad_products * d_tri[:, None]).ravel()
-    data = np.bincount(pattern.slot, weights=entries, minlength=pattern.nnz)
+    n = mesh.n_sub
+    m = n + 1
+    d = diffusivity.reshape(m, m)
+    d00, d10, d01, d11 = d[:-1, :-1], d[:-1, 1:], d[1:, :-1], d[1:, 1:]
+    # Three times the triangle means.  The lower triangle of a cell holds its
+    # bottom edge, the upper one its top edge; the diagonal decides which of
+    # them holds the left and the right edge.
+    if mesh.diagonal == "main":
+        lower = d00 + d10 + d11
+        upper = d00 + d11 + d01
+        left, right = upper, lower
+    else:
+        lower = d00 + d10 + d01
+        upper = d10 + d11 + d01
+        left, right = lower, upper
+
+    hx = (mesh.xmax - mesh.xmin) / n
+    hy = (mesh.ymax - mesh.ymin) / n
+    # Planes: south, west, centre, east, north.  A west (south) entry is
+    # minus the conductance of the horizontal (vertical) edge to that
+    # neighbour; the east (north) plane holds the same edges seen from
+    # their other end.
+    stencil = np.zeros((5, m, m))
+    south, west = stencil[0, 1:], stencil[1, :, 1:]
+    west[:-1] -= hy / (6.0 * hx) * lower
+    west[1:] -= hy / (6.0 * hx) * upper
+    south[:, :-1] -= hx / (6.0 * hy) * left
+    south[:, 1:] -= hx / (6.0 * hy) * right
+    stencil[3, :, :-1] = west
+    stencil[4, :-1] = south
+    stencil[2] = -stencil.sum(axis=0)
+
+    gather, indices, indptr, _ = _stencil_layout(n)
     return sparse.csr_matrix(
-        (data, pattern.indices, pattern.indptr),
+        (stencil.ravel().take(gather), indices, indptr),
         shape=(mesh.num_vertices, mesh.num_vertices),
     )
 
@@ -258,9 +243,9 @@ def stiffness_diag_slots(mesh: StructuredTriMesh) -> np.ndarray:
     """Positions of the diagonal entries inside the assembled CSR data array.
 
     The solver adds its lumped mass and reaction coefficients there without
-    re-deriving the pattern.
+    re-deriving the layout.
     """
-    return _assembly_pattern(mesh).diag_slots
+    return _stencil_layout(mesh.n_sub)[3]
 
 
 def lumped_integral(mesh: StructuredTriMesh, field_values) -> float:

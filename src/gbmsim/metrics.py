@@ -124,10 +124,14 @@ def surface_quotient(
     region = threshold_indicator(state, mesh, theta)
     if len(region) == 0:
         raise EmptyRegionError("thresholded region is empty")
-    radius = max_radius(region)
+    return _regularity(tumor_area(region, mesh), max_radius(region), mesh)
+
+
+def _regularity(area: float, radius: float, mesh: StructuredTriMesh) -> float:
+    """SQ of a nonempty region with the given area and enclosing radius."""
     if radius < mesh.cell_edge / 2.0:
         return 1.0
-    return tumor_area(region, mesh) / (math.pi * radius * radius)
+    return area / (math.pi * radius * radius)
 
 
 def total_density(state, mesh: StructuredTriMesh, selector: str) -> float:
@@ -153,20 +157,18 @@ def compute_sample(
 ) -> MetricsSample:
     """Evaluate the full observable set for one state."""
     region = threshold_indicator(state, mesh, theta)
+    area = tumor_area(region, mesh)
     if len(region) == 0:
         sq = float("nan")
         r_max = float("nan")
     else:
         r_max = max_radius(region)
-        if r_max < mesh.cell_edge / 2.0:
-            sq = 1.0
-        else:
-            sq = tumor_area(region, mesh) / (math.pi * r_max * r_max)
+        sq = _regularity(area, r_max, mesh)
     return MetricsSample(
         time=state.time,
         rq=ring_quotient(state, mesh),
         sq=sq,
-        area=tumor_area(region, mesh),
+        area=area,
         r_max=r_max,
         tumor_density=total_density(state, mesh, "T"),
         total_tn_density=total_density(state, mesh, "T+N"),

@@ -13,13 +13,24 @@ from .errors import InvalidParameterError
 from .mesh import StructuredTriMesh
 from .solver import SimulationState
 
-__all__ = ["METRICS_HEADER", "write_metrics_csv", "write_snapshot"]
+__all__ = [
+    "METRICS_HEADER",
+    "write_metrics_csv",
+    "write_snapshot",
+    "write_trajectory_csv",
+]
 
 METRICS_HEADER = "t,rq,sq,area,r_max,int_T,int_TN,int_phi"
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _write_csv(path, header: str, rows) -> None:
+    lines = [header]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def write_metrics_csv(series, path) -> None:
@@ -31,7 +42,6 @@ def write_metrics_csv(series, path) -> None:
     series = list(series)
     if not series:
         raise InvalidParameterError("refusing to write an empty metrics series")
-    lines = [METRICS_HEADER]
     for sample in series:
         if not (0.0 <= sample.rq <= 1.0):
             raise InvalidParameterError(
@@ -41,22 +51,36 @@ def write_metrics_csv(series, path) -> None:
             raise InvalidParameterError(
                 f"negative area {sample.area!r} at t={sample.time!r}"
             )
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    sample.time,
-                    sample.rq,
-                    sample.sq,
-                    sample.area,
-                    sample.r_max,
-                    sample.tumor_density,
-                    sample.total_tn_density,
-                    sample.phi_density,
-                )
+    _write_csv(
+        path,
+        METRICS_HEADER,
+        (
+            (
+                sample.time,
+                sample.rq,
+                sample.sq,
+                sample.area,
+                sample.r_max,
+                sample.tumor_density,
+                sample.total_tn_density,
+                sample.phi_density,
             )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+            for sample in series
+        ),
+    )
+
+
+def write_trajectory_csv(trajectory, stride: int, path) -> None:
+    """Write a homogeneous trajectory as "t,T,N,Phi", keeping every
+    ``stride``-th step and the last one; LF line endings."""
+    kept = sorted({*range(0, len(trajectory), stride), len(trajectory) - 1})
+    columns = (
+        trajectory.times,
+        trajectory.t_density,
+        trajectory.n_density,
+        trajectory.phi_density,
+    )
+    _write_csv(path, "t,T,N,Phi", zip(*(column[kept] for column in columns)))
 
 
 def write_snapshot(
@@ -72,21 +96,18 @@ def write_snapshot(
     (T, N, Phi) is written next to it.
     """
     path = Path(path)
-    lines = ["x,y,T,N,Phi"]
-    for i in range(mesh.num_vertices):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    mesh.vertices[i, 0],
-                    mesh.vertices[i, 1],
-                    state.t_field[i],
-                    state.n_field[i],
-                    state.phi_field[i],
-                )
-            )
-        )
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    _write_csv(
+        path,
+        "x,y,T,N,Phi",
+        zip(
+            mesh.vertices[:, 0],
+            mesh.vertices[:, 1],
+            state.t_field,
+            state.n_field,
+            state.phi_field,
+            strict=True,
+        ),
+    )
     if vtk:
         _write_legacy_vtk(state, mesh, path.with_suffix(".vtk"))
 

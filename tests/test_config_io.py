@@ -247,6 +247,8 @@ def test_cli_presets_output(capsys):
     out = capsys.readouterr().out
     assert "gamma=0.255" in out
     assert "kappa1=55.0" in out
+    assert "ring preset: uniform vasculature 0.5," in out
+    assert "3 vasculature corridors (0.3/0.25/0.2) on base 0.0" in out
 
 
 def test_cli_unknown_subcommand():

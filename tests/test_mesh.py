@@ -149,14 +149,27 @@ def test_stiffness_m_matrix_for_constant_diffusivity():
     assert np.all(off_diag <= 1e-14)
 
 
+@pytest.mark.parametrize("diagonal", ["main", "anti"])
 @pytest.mark.parametrize("n_sub", [1, 2, 3])
-def test_stiffness_matches_brute_force_oracle(n_sub):
+def test_stiffness_matches_brute_force_oracle(n_sub, diagonal):
     rng = np.random.default_rng(n_sub)
-    mesh = build_mesh((-1.5, 2.0, 0.5, 3.0), n_sub)
+    mesh = build_mesh((-1.5, 2.0, 0.5, 3.0), n_sub, diagonal=diagonal)
     diffusivity = 1.0 + 5.0 * rng.random(mesh.num_vertices)
     assembled = assemble_stiffness(mesh, diffusivity).toarray()
     expected = oracle_stiffness(mesh, diffusivity)
     assert np.abs(assembled - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("diagonal", ["main", "anti"])
+def test_stiffness_stores_only_the_five_point_stencil(diagonal):
+    n = 45
+    mesh = build_mesh((-9, 9, -9, 9), n, diagonal=diagonal)
+    rng = np.random.default_rng(45)
+    matrix = assemble_stiffness(mesh, 1.0 + rng.random(mesh.num_vertices))
+    # every vertex plus both directions of every axis-aligned edge
+    assert matrix.nnz == (n + 1) ** 2 + 4 * n * (n + 1) == 10396
+    assert np.all(matrix.data != 0.0)
+    assert matrix.has_sorted_indices
 
 
 def test_stiffness_rejects_wrong_length():

@@ -1,5 +1,6 @@
 """Time stepper, linear solver, and homogeneous-mode tests."""
 
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from gbmsim import (
     step,
     vascular_fraction,
 )
+from gbmsim.solver import _check_bounds
 
 TABLE_PARAMS = DimensionlessParameters(
     kappa1=55.0, alpha=45.0, beta1=27.5, beta2=2.55, gamma=0.255, delta=2.55
@@ -159,6 +161,26 @@ def test_step_rejects_mismatched_fields():
     bad = SimulationState(0.0, np.zeros(5), np.zeros(5), np.zeros(5))
     with pytest.raises(Exception):
         step(bad, TABLE_PARAMS, mesh, 1e-3)
+
+
+def test_bound_monitor_logs_each_violation_once(caplog):
+    state = SimulationState(
+        time=0.5,
+        t_field=np.array([-1e-3, 1.5]),
+        n_field=np.array([-1.0, 0.0]),
+        phi_field=np.array([0.0, 2.0]),
+    )
+    violations = []
+    with caplog.at_level(logging.WARNING, logger="gbmsim.solver"):
+        _check_bounds(state, 7, violations)
+    assert [(v.field, v.bound) for v in violations] == [
+        ("T", "lower"), ("T", "upper"), ("Phi", "upper"), ("N", "lower"),
+    ]
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == len(violations)
+    for record, violation in zip(warnings, violations):
+        assert record.name == "gbmsim.solver"
+        assert f"{violation.field} " in record.getMessage()
 
 
 # --- run driver ---------------------------------------------------------------
