@@ -178,8 +178,12 @@ def compute_sample(
 
 # ---------------------------------------------------------------------------
 # Smallest enclosing circle: randomized incremental construction with exact
-# one/two/three point circles.  Expected linear time; deterministic because
-# the shuffle seed is fixed.
+# one/two/three point circles, deterministic because the shuffle seed is
+# fixed.  It runs only on the leftmost and rightmost point of each distinct y:
+# a point strictly between two others on one horizontal line is not a vertex
+# of the convex hull, and the smallest circle enclosing a set is the one
+# enclosing its hull (Welzl 1991).  On a grid region that leaves at most two
+# points per grid row.
 
 
 # Containment uses a 1 + 1e-14 multiplicative slack so candidate circles that
@@ -275,8 +279,18 @@ def _circle_one_fixed(points, a):
     return circle
 
 
+def _row_end_points(coordinates) -> np.ndarray:
+    """Leftmost and rightmost point of every distinct y, in (y, x) order."""
+    pts = np.asarray(coordinates, dtype=float)
+    pts = pts[np.lexsort((pts[:, 0], pts[:, 1]))]
+    same_row = pts[1:, 1] == pts[:-1, 1]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:-1] = ~(same_row[:-1] & same_row[1:])
+    return pts[keep]
+
+
 def _smallest_enclosing_circle(coordinates) -> tuple[float, float, float]:
-    points = [(float(x), float(y)) for x, y in np.asarray(coordinates)]
+    points = _row_end_points(coordinates).tolist()
     random.Random(_SHUFFLE_SEED).shuffle(points)
     circle = None
     for i, p in enumerate(points):

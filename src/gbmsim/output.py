@@ -27,10 +27,12 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_csv(path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+def _write_lines(path, lines) -> None:
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+
+
+def _write_csv(path, header: str, rows) -> None:
+    _write_lines(path, [header, *(",".join(map(_fmt, row)) for row in rows)])
 
 
 def write_metrics_csv(series, path) -> None:
@@ -96,46 +98,41 @@ def write_snapshot(
     (T, N, Phi) is written next to it.
     """
     path = Path(path)
-    _write_csv(
-        path,
-        "x,y,T,N,Phi",
-        zip(
+    # Each column is formatted once, as Python floats, for both files.
+    columns = [
+        list(map(repr, values.astype(float, copy=False).tolist()))
+        for values in (
             mesh.vertices[:, 0],
             mesh.vertices[:, 1],
             state.t_field,
             state.n_field,
             state.phi_field,
-            strict=True,
-        ),
-    )
+        )
+    ]
+    _write_lines(path, ["x,y,T,N,Phi", *map(",".join, zip(*columns, strict=True))])
     if vtk:
-        _write_legacy_vtk(state, mesh, path.with_suffix(".vtk"))
+        _write_legacy_vtk(state.time, mesh, columns, path.with_suffix(".vtk"))
 
 
-def _write_legacy_vtk(state, mesh, path) -> None:
+def _write_legacy_vtk(time, mesh, columns, path) -> None:
+    xs, ys, *fields = columns
     nv = mesh.num_vertices
     nt = mesh.num_triangles
     parts = [
         "# vtk DataFile Version 3.0",
-        f"gbmsim fields at t={_fmt(state.time)}",
+        f"gbmsim fields at t={_fmt(time)}",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {nv} double",
     ]
-    for i in range(nv):
-        parts.append(f"{_fmt(mesh.vertices[i, 0])} {_fmt(mesh.vertices[i, 1])} 0.0")
+    parts.extend(f"{x} {y} 0.0" for x, y in zip(xs, ys))
     parts.append(f"CELLS {nt} {4 * nt}")
-    for a, b, c in mesh.triangles:
-        parts.append(f"3 {a} {b} {c}")
+    parts.extend(f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist())
     parts.append(f"CELL_TYPES {nt}")
     parts.extend(["5"] * nt)  # 5 = VTK_TRIANGLE
     parts.append(f"POINT_DATA {nv}")
-    for name, values in (
-        ("T", state.t_field),
-        ("N", state.n_field),
-        ("Phi", state.phi_field),
-    ):
+    for name, text in zip(("T", "N", "Phi"), fields):
         parts.append(f"SCALARS {name} double 1")
         parts.append("LOOKUP_TABLE default")
-        parts.extend(_fmt(v) for v in values)
-    Path(path).write_text("\n".join(parts) + "\n", newline="\n")
+        parts.extend(text)
+    _write_lines(path, parts)

@@ -184,6 +184,7 @@ def test_metrics_csv_nan_sq_round_trips(tmp_path):
     write_metrics_csv([sample(sq=float("nan"), r_max=float("nan"))], path)
     row = path.read_text().splitlines()[1].split(",")
     assert math.isnan(float(row[2])) and math.isnan(float(row[4]))
+    assert path.read_bytes().endswith(b"\n0.0,1.0,nan,2.0,nan,0.5,0.5,0.1\n")
 
 
 # --- snapshots --------------------------------------------------------------------
@@ -232,6 +233,62 @@ def test_snapshot_vtk_sibling(tmp_path):
     assert f"CELLS {mesh.num_triangles} {4 * mesh.num_triangles}" in vtk
     for name in ("T", "N", "Phi"):
         assert f"SCALARS {name} double 1" in vtk
+
+
+def reference_snapshot_files(state, mesh):
+    """CSV and VTK text of a snapshot, one ``repr(float(v))`` per value."""
+    def fmt(v):
+        return repr(float(v))
+
+    csv = ["x,y,T,N,Phi"]
+    for i in range(mesh.num_vertices):
+        csv.append(",".join(fmt(v) for v in (
+            mesh.vertices[i, 0], mesh.vertices[i, 1],
+            state.t_field[i], state.n_field[i], state.phi_field[i],
+        )))
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    vtk = [
+        "# vtk DataFile Version 3.0",
+        f"gbmsim fields at t={fmt(state.time)}",
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {nv} double",
+    ]
+    for i in range(nv):
+        vtk.append(f"{fmt(mesh.vertices[i, 0])} {fmt(mesh.vertices[i, 1])} 0.0")
+    vtk.append(f"CELLS {nt} {4 * nt}")
+    for a, b, c in mesh.triangles:
+        vtk.append(f"3 {int(a)} {int(b)} {int(c)}")
+    vtk.append(f"CELL_TYPES {nt}")
+    vtk.extend(["5"] * nt)
+    vtk.append(f"POINT_DATA {nv}")
+    for name, values in (
+        ("T", state.t_field), ("N", state.n_field), ("Phi", state.phi_field)
+    ):
+        vtk.append(f"SCALARS {name} double 1")
+        vtk.append("LOOKUP_TABLE default")
+        vtk.extend(fmt(v) for v in values)
+    return ("\n".join(csv) + "\n").encode(), ("\n".join(vtk) + "\n").encode()
+
+
+def test_snapshot_bytes_match_reference_writer(tmp_path):
+    mesh = build_mesh((-2.0, 2.5, -1.0, 3.0), 3)
+    base = snapshot_state(mesh)
+    state = SimulationState(
+        time=0.1 + 0.2,
+        t_field=base.t_field,
+        n_field=-base.n_field,
+        phi_field=base.phi_field,
+    )
+    state.t_field[:5] = [5e-324, -0.0, 1e-164, 0.1 + 0.2, 1.0]
+    state.phi_field[-5:] = [1.0, 0.1 + 0.2, 1e-164, -0.0, 5e-324]
+    path = tmp_path / "snap.csv"
+    write_snapshot(state, mesh, path, vtk=True)
+    csv, vtk = reference_snapshot_files(state, mesh)
+    assert path.read_bytes() == csv
+    assert (tmp_path / "snap.vtk").read_bytes() == vtk
+    for text in ("5e-324", "-0.0", "1e-164", "0.30000000000000004"):
+        assert text.encode() in csv and text.encode() in vtk
 
 
 # --- CLI ---------------------------------------------------------------------------

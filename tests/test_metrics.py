@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from gbmsim import (
     EmptyRegionError,
@@ -26,6 +27,7 @@ from gbmsim import (
     total_density,
     tumor_area,
 )
+from gbmsim.metrics import _row_end_points
 
 
 def state_on(mesh, t=0.0, n=0.0, phi=0.0):
@@ -219,6 +221,48 @@ def test_max_radius_matches_brute_force_small_sets():
 def test_max_radius_collinear_points():
     pts = [(i * 1.0, 2.0) for i in range(7)]
     assert max_radius(region_of(pts)) == pytest.approx(3.0, abs=1e-12)
+
+
+@st.composite
+def grid_regions(draw):
+    """A random vertex subset of a small grid with non-square cells, or one
+    whole grid row, one whole column, or a single vertex of it."""
+    n_sub = draw(st.integers(1, 5))
+    x0, y0 = draw(st.floats(-9, 9)), draw(st.floats(-9, 9))
+    width, height = draw(st.floats(0.5, 9)), draw(st.floats(0.5, 9))
+    mesh = build_mesh((x0, x0 + width, y0, y0 + height), n_sub)
+    iy, ix = np.divmod(np.arange(mesh.num_vertices), n_sub + 1)
+    shape = draw(st.sampled_from(["random", "row", "column", "vertex"]))
+    if shape == "random":
+        mask = np.array(draw(st.lists(
+            st.booleans(), min_size=mesh.num_vertices,
+            max_size=mesh.num_vertices,
+        ).filter(any)))
+    elif shape == "row":
+        mask = iy == draw(st.integers(0, n_sub))
+    elif shape == "column":
+        mask = ix == draw(st.integers(0, n_sub))
+    else:
+        mask = np.arange(mesh.num_vertices) == draw(
+            st.integers(0, mesh.num_vertices - 1)
+        )
+    return mesh.vertices[mask], ix[mask], iy[mask]
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_regions())
+def test_row_end_filter_keeps_the_circle_and_the_hull(region):
+    pts, ix, iy = region
+    assert max_radius(region_of(pts)) == pytest.approx(
+        brute_force_radius(pts), abs=1e-12
+    )
+    kept = {tuple(p) for p in _row_end_points(pts).tolist()}
+    assert len(kept) <= 2 * len(np.unique(iy))
+    # Collinearity is decided on the integer grid indices, where it is exact.
+    di, dj = ix - ix[0], iy - iy[0]
+    if np.any(np.outer(di, dj) != np.outer(dj, di)):
+        hull = ConvexHull(pts)
+        assert {tuple(p) for p in pts[hull.vertices].tolist()} <= kept
 
 
 # --- surface quotient -------------------------------------------------------
