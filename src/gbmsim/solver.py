@@ -153,59 +153,68 @@ def solve_spd(matrix, rhs, tol: float = 1e-10, max_iter: int = 500, x0=None):
     Deterministic for fixed inputs.  Raises :class:`SolverFailure` when the
     iteration budget is exhausted.
 
-    The system is normalized by ||b|| internally.  ``np.linalg.norm`` squares
-    the entries, so ||b|| underflows to 0.0 once max|rhs| falls below about
+    ``x0`` is the initial guess (zero when omitted).  It changes only how
+    many iterations the solve takes, never the tolerance the result meets;
+    a time stepper passes the previous solution or an extrapolation of the
+    last few.  Neither ``rhs`` nor ``x0`` is written to.
+
+    The system is normalized by ||b|| internally.  The norm squares the
+    entries, so ||b|| underflows to 0.0 once max|rhs| falls below about
     1e-162, and the function then returns exact zeros: a tumor field that
     decays that far is flushed to zero, far above the binary64 floor.
     """
     rhs = np.asarray(rhs, dtype=float)
-    b_norm = float(np.linalg.norm(rhs))
+    b_norm = math.sqrt(rhs @ rhs)
     if b_norm == 0.0:
         return np.zeros_like(rhs)
 
     inv_diag = 1.0 / matrix.diagonal()
     b = rhs / b_norm
     x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=float) / b_norm
+    z = np.empty_like(b)
 
     iterations = 0
-    r = b - matrix.dot(x)
+    r = b - matrix @ x
     while True:
         # r holds the true residual of the normalized system at this point.
-        if float(np.linalg.norm(r)) <= tol:
-            return x * b_norm
+        if math.sqrt(r @ r) <= tol:
+            x *= b_norm
+            return x
         if iterations >= max_iter:
             break
 
-        z = inv_diag * r
-        rz = float(np.dot(r, z))
-        p = z
+        np.multiply(inv_diag, r, out=z)
+        rz = float(r @ z)
+        p = z.copy()
         stalled = False
         while iterations < max_iter:
-            ap = matrix.dot(p)
-            pap = float(np.dot(p, ap))
+            ap = matrix @ p
+            pap = float(p @ ap)
             if not pap > 0.0 or not rz > 0.0:
                 stalled = True
                 break
             alpha = rz / pap
-            x = x + alpha * p
-            r = r - alpha * ap
+            x += alpha * p
+            r -= alpha * ap
             iterations += 1
-            if float(np.linalg.norm(r)) <= tol:
+            if math.sqrt(r @ r) <= tol:
                 break
-            z = inv_diag * r
-            rz_new = float(np.dot(r, z))
-            p = z + (rz_new / rz) * p
+            np.multiply(inv_diag, r, out=z)
+            rz_new = float(r @ z)
+            p *= rz_new / rz
+            p += z
             rz = rz_new
 
         # Re-derive the true residual before accepting or retrying; the
         # recurrence residual can drift.
-        r = b - matrix.dot(x)
+        r = b - matrix @ x
         if stalled:
-            if float(np.linalg.norm(r)) <= tol:
-                return x * b_norm
+            if math.sqrt(r @ r) <= tol:
+                x *= b_norm
+                return x
             break
 
-    residual = float(np.linalg.norm(b - matrix.dot(x)))
+    residual = math.sqrt(r @ r)
     raise SolverFailure(
         f"conjugate gradients stalled at relative residual {residual:.3e} "
         f"after {iterations} iterations",
