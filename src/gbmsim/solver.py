@@ -230,9 +230,14 @@ def step(
     dt: float,
     cg_tolerance: float = 1e-10,
     cg_max_iterations: int = 500,
+    guess: np.ndarray | None = None,
 ) -> SimulationState:
     """Advance the state by one time step (see module docstring for the
-    splitting)."""
+    splitting).
+
+    ``guess`` is the tumor solve's initial guess; it defaults to the old
+    tumor field and changes only the iteration count.
+    """
     t_old = state.t_field
     n_old = state.n_field
     phi_old = state.phi_field
@@ -240,6 +245,10 @@ def step(
         t_old.shape == n_old.shape == phi_old.shape == (mesh.num_vertices,)
     ):
         raise InvalidParameterError("state field lengths do not match the mesh")
+    if guess is None:
+        guess = t_old
+    elif np.shape(guess) != t_old.shape:
+        raise InvalidParameterError("guess length does not match the mesh")
 
     p = vascular_fraction(phi_old, t_old)
     lack = np.sqrt(1.0 - p * p)
@@ -256,7 +265,7 @@ def step(
     system.data[stiffness_diag_slots(mesh)] += weights * (1.0 / dt + sink)
     rhs = weights * (t_old / dt + gain)
     t_new = solve_spd(
-        system, rhs, tol=cg_tolerance, max_iter=cg_max_iterations, x0=t_old
+        system, rhs, tol=cg_tolerance, max_iter=cg_max_iterations, x0=guess
     )
 
     growth = params.gamma * t_new * lack
@@ -312,6 +321,11 @@ def run(scenario, config: SolverConfig | None = None,
     Metrics are sampled every ``metrics_every`` steps plus at t = 0 and the
     final step; snapshots every ``snapshot_every`` steps plus the final step.
     Deterministic: identical inputs produce bit-identical outputs.
+
+    From the third step on, the tumor solve starts from the quadratic
+    extrapolation 3 T_k - 3 T_{k-1} + T_{k-2} of the last three fields.
+    While the fields move smoothly this lies closer to T_{k+1} than T_k
+    does, so CG needs fewer iterations to the same tolerance.
     """
     if config is None:
         config = scenario.solver
@@ -322,8 +336,15 @@ def run(scenario, config: SolverConfig | None = None,
     violations: list[BoundViolation] = []
     metrics = [compute_sample(state, mesh, theta)]
     snapshots = [state.copy()]
+    history = [state.t_field]  # the last accepted T fields, newest last
+    guess = np.empty_like(state.t_field)
 
     for k in range(1, n_steps + 1):
+        x0 = None
+        if len(history) == 3:
+            x0 = np.subtract(history[2], history[1], out=guess)
+            x0 *= 3.0
+            x0 += history[0]
         try:
             state = step(
                 state,
@@ -332,6 +353,7 @@ def run(scenario, config: SolverConfig | None = None,
                 config.dt,
                 cg_tolerance=config.cg_tolerance,
                 cg_max_iterations=config.cg_max_iterations,
+                guess=x0,
             )
         except SolverFailure as exc:
             raise SolverFailure(
@@ -341,6 +363,7 @@ def run(scenario, config: SolverConfig | None = None,
                 step_index=k,
             ) from exc
         state.time = k * config.dt
+        history = history[-2:] + [state.t_field]
         _check_bounds(state, k, violations)
         if k % config.metrics_every == 0 or k == n_steps:
             metrics.append(compute_sample(state, mesh, theta))

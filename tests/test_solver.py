@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import gbmsim.solver
 from gbmsim import (
     DimensionlessParameters,
+    InvalidParameterError,
     FieldTriple,
     SimulationState,
     SolverFailure,
@@ -16,6 +18,7 @@ from gbmsim import (
     run,
     run_homogeneous,
     scenario_ring_width,
+    scenario_surface_regularity,
     solve_spd,
     step,
     vascular_fraction,
@@ -85,6 +88,20 @@ def test_solve_spd_iteration_budget():
                   tol=1e-14, max_iter=2)
     assert info.value.iterations == 2
     assert info.value.residual > 0
+
+
+def test_solve_spd_leaves_inputs_unmodified():
+    rng = np.random.default_rng(15)
+    raw = rng.standard_normal((25, 25))
+    matrix = sparse.csr_matrix(raw @ raw.T + 25.0 * np.eye(25))
+    b = rng.standard_normal(25)
+    x0 = rng.standard_normal(25)
+    b_before, x0_before = b.copy(), x0.copy()
+    x = solve_spd(matrix, b, tol=1e-12, x0=x0)
+    assert np.array_equal(b, b_before)
+    assert np.array_equal(x0, x0_before)
+    assert x is not b and x is not x0
+    assert np.linalg.norm(matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_solve_spd_survives_tiny_scales():
@@ -163,6 +180,13 @@ def test_step_rejects_mismatched_fields():
         step(bad, TABLE_PARAMS, mesh, 1e-3)
 
 
+def test_step_rejects_guess_of_wrong_length():
+    mesh = build_mesh((0, 1, 0, 1), 3)
+    state = uniform_state(mesh, t=0.1, phi=0.5)
+    with pytest.raises(InvalidParameterError):
+        step(state, TABLE_PARAMS, mesh, 1e-3, guess=np.zeros(5))
+
+
 def test_bound_monitor_logs_each_violation_once(caplog):
     state = SimulationState(
         time=0.5,
@@ -218,6 +242,67 @@ def test_run_is_deterministic():
     for sa, sb in zip(a.metrics, b.metrics):
         assert sa == sb
     assert np.array_equal(a.snapshots[-1].t_field, b.snapshots[-1].t_field)
+
+
+class CountingMatrix:
+    """Matrix proxy that counts products and delegates the rest."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.matvecs = 0
+
+    def __matmul__(self, x):
+        self.matvecs += 1
+        return self.matrix @ x
+
+    def dot(self, x):
+        self.matvecs += 1
+        return self.matrix.dot(x)
+
+    def diagonal(self):
+        return self.matrix.diagonal()
+
+
+def test_run_extrapolated_guess_saves_matvecs(monkeypatch):
+    # run() against a plain step loop, whose tumor solves start from T_old
+    matvecs = []
+    original = gbmsim.solver.solve_spd
+
+    def counting_solve(matrix, rhs, *args, **kwargs):
+        proxy = CountingMatrix(matrix)
+        try:
+            return original(proxy, rhs, *args, **kwargs)
+        finally:
+            matvecs.append(proxy.matvecs)
+
+    monkeypatch.setattr(gbmsim.solver, "solve_spd", counting_solve)
+    scenario = scenario_surface_regularity()
+    scenario = replace(
+        scenario, n_sub=45, solver=replace(scenario.solver, t_final=0.2)
+    )
+    config = scenario.solver
+
+    result = run(scenario)
+    run_matvecs = sum(matvecs)
+
+    matvecs.clear()
+    mesh = scenario.build_mesh()
+    state = scenario.initial_state(mesh)
+    for _ in range(200):
+        state = step(
+            state, scenario.params, mesh, config.dt,
+            cg_tolerance=config.cg_tolerance,
+            cg_max_iterations=config.cg_max_iterations,
+        )
+
+    assert len(matvecs) == 200
+    assert 0 < run_matvecs < sum(matvecs)
+    t_run = result.snapshots[-1].t_field
+    scale = np.abs(state.t_field).max()
+    assert scale > 0.0
+    assert np.abs(t_run - state.t_field).max() <= 1e-6 * scale
+    assert result.bound_violations == []
+    assert t_run.min() >= 0.0
 
 
 def test_run_annotates_solver_failure_with_step():
