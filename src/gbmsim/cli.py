@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig, parse_config
@@ -20,6 +19,7 @@ from .experiments import (
     DEFAULT_ZONES,
     PARAMETER_NAMES,
     PARAMETER_RANGES,
+    sweep_runs,
 )
 from .output import write_metrics_csv, write_snapshot, write_trajectory_csv
 from .solver import run, run_homogeneous
@@ -80,16 +80,8 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
     tokens = [token.strip() for token in args.values.split(",") if token.strip()]
-    if not tokens:
-        raise SimulationError("--values must list at least one number")
-    scenario = config.to_scenario()
-    for token in tokens:
-        value = float(token)
-        varied = replace(
-            scenario,
-            params=replace(scenario.params, **{args.param: value}),
-        )
-        result = run(varied, config.solver, theta=config.theta)
+    runs = sweep_runs(config.to_scenario(), args.param, tokens, config.theta)
+    for token, (_, result) in zip(tokens, runs):
         _write_run_outputs(
             result, Path(args.out) / f"{args.param}={token}", config.vtk
         )

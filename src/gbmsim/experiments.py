@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .errors import InvalidParameterError
 from .kinetics import DimensionlessParameters
 from .mesh import StructuredTriMesh, build_mesh
-from .solver import MetricsSample, SimulationState, SolverConfig, run
+from .metrics import DEFAULT_THRESHOLD
+from .solver import MetricsSample, RunResult, SimulationState, SolverConfig, run
 
 __all__ = [
     "DEFAULT_PARAMETERS",
@@ -37,6 +38,7 @@ __all__ = [
     "scenario_ring_width",
     "scenario_surface_regularity",
     "sweep",
+    "sweep_runs",
     "default_sweep_values",
 ]
 
@@ -288,28 +290,31 @@ def default_sweep_values(param_name: str) -> tuple[float, float, float]:
     return (lo, getattr(DEFAULT_PARAMETERS, param_name), hi)
 
 
-def sweep(
-    scenario: Scenario,
-    param_name: str,
-    values,
-    theta: float | None = None,
-) -> dict[float, list[MetricsSample]]:
-    """Run one simulation per value of a single parameter.
+def sweep_runs(
+    scenario: Scenario, param_name: str, values, theta: float = DEFAULT_THRESHOLD
+) -> Iterator[tuple[float, RunResult]]:
+    """Yield ``(value, run result)`` for each value of one parameter, in the
+    given order.  Every other setting is held fixed and the runs are
+    independent, so no result depends on the order.
 
-    All other settings are held fixed; entries are independent, so the result
-    does not depend on iteration order.  Returns the metrics series keyed by
-    parameter value.
+    The arguments are checked at the call; each run happens when the
+    iterator reaches it.
     """
     if param_name not in PARAMETER_NAMES:
         raise InvalidParameterError(f"unknown parameter {param_name!r}")
-    values = list(values)
+    values = [float(value) for value in values]
     if not values:
         raise InvalidParameterError("sweep needs at least one value")
-    results: dict[float, list[MetricsSample]] = {}
-    for value in values:
-        varied = replace(
-            scenario, params=replace(scenario.params, **{param_name: float(value)})
-        )
-        kwargs = {} if theta is None else {"theta": theta}
-        results[float(value)] = run(varied, **kwargs).metrics
-    return results
+    params = [replace(scenario.params, **{param_name: value}) for value in values]
+    return (
+        (value, run(replace(scenario, params=p), theta=theta))
+        for value, p in zip(values, params)
+    )
+
+
+def sweep(
+    scenario: Scenario, param_name: str, values, theta: float = DEFAULT_THRESHOLD
+) -> dict[float, list[MetricsSample]]:
+    """The metrics series of :func:`sweep_runs`, keyed by parameter value."""
+    runs = sweep_runs(scenario, param_name, values, theta)
+    return {value: result.metrics for value, result in runs}

@@ -1,6 +1,10 @@
 """Config parsing, CSV/VTK writers, and the CLI surface."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from gbmsim import (
     write_metrics_csv,
     write_snapshot,
 )
+import gbmsim
 from gbmsim.cli import main
 
 
@@ -363,6 +368,35 @@ def test_cli_sweep_creates_one_directory_per_value(tmp_path):
     assert dirs == ["alpha=10", "alpha=100", "alpha=45"]
     for d in out.iterdir():
         assert (d / "metrics.csv").exists()
+
+
+def test_cli_sweep_without_values_fails_before_running(tmp_path):
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--param", "alpha", "--values", " , ", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+
+
+def _python_m_gbmsim(*argv):
+    src = str(Path(gbmsim.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "gbmsim", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_python_m_gbmsim_runs_the_cli():
+    presets = _python_m_gbmsim("presets")
+    assert presets.returncode == 0
+    assert "kappa1=55.0" in presets.stdout
+    assert "surface preset:" in presets.stdout
+    usage = _python_m_gbmsim("sweep")
+    assert usage.returncode == 2
+    assert "usage:" in usage.stderr
 
 
 def test_cli_ode_writes_trajectory(tmp_path):

@@ -23,6 +23,7 @@ from gbmsim import (
     tumor_area,
 )
 from gbmsim import SimulationState
+from gbmsim.experiments import sweep_runs
 
 PRESET_TABLE = {
     "kappa1": 55.0,
@@ -205,6 +206,14 @@ def test_sweep_rq_starts_at_one():
     )
     series = sweep(scenario, "alpha", [10.0, 45.0, 100.0])
     assert all(s[0].rq == 1.0 for s in series.values())
+
+
+def test_sweep_runs_checks_arguments_before_running():
+    scenario = scenario_ring_width()
+    with pytest.raises(InvalidParameterError):
+        sweep_runs(scenario, "alpha", [])
+    with pytest.raises(InvalidParameterError):
+        sweep_runs(scenario, "alpha", [10.0, -1.0])
 
 
 def test_sweep_unknown_parameter():
