@@ -337,14 +337,14 @@ def run(scenario, config: SolverConfig | None = None,
     metrics = [compute_sample(state, mesh, theta)]
     snapshots = [state.copy()]
     history = [state.t_field]  # the last accepted T fields, newest last
-    guess = np.empty_like(state.t_field)
+    extrapolated = np.empty_like(state.t_field)
 
     for k in range(1, n_steps + 1):
-        x0 = None
+        guess = None
         if len(history) == 3:
-            x0 = np.subtract(history[2], history[1], out=guess)
-            x0 *= 3.0
-            x0 += history[0]
+            guess = np.subtract(history[2], history[1], out=extrapolated)
+            guess *= 3.0
+            guess += history[0]
         try:
             state = step(
                 state,
@@ -353,7 +353,7 @@ def run(scenario, config: SolverConfig | None = None,
                 config.dt,
                 cg_tolerance=config.cg_tolerance,
                 cg_max_iterations=config.cg_max_iterations,
-                guess=x0,
+                guess=guess,
             )
         except SolverFailure as exc:
             raise SolverFailure(

@@ -255,10 +255,6 @@ class CountingMatrix:
         self.matvecs += 1
         return self.matrix @ x
 
-    def dot(self, x):
-        self.matvecs += 1
-        return self.matrix.dot(x)
-
     def diagonal(self):
         return self.matrix.diagonal()
 
