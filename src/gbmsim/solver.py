@@ -153,10 +153,17 @@ def solve_spd(matrix, rhs, tol: float = 1e-10, max_iter: int = 500, x0=None):
     Deterministic for fixed inputs.  Raises :class:`SolverFailure` when the
     iteration budget is exhausted.
 
-    ``x0`` is the initial guess (zero when omitted).  It changes only how
-    many iterations the solve takes, never the tolerance the result meets;
-    a time stepper passes the previous solution or an extrapolation of the
-    last few.  Neither ``rhs`` nor ``x0`` is written to.
+    ``x0`` is one previous solution or a stack of them, newest first (zero
+    when omitted).  The iteration starts from the Galerkin projection of the
+    solution onto their span, taken with this ``matrix`` (Chan & Wan, SIAM
+    J. Sci. Comput. 18, 1997): with V the fields in the difference basis
+    [v0, v0 - v1, v0 - 2 v1 + v2, ...], which keeps the small system well
+    conditioned, it solves (V A V^T) c = V b and starts from x = c V with
+    residual b - c (A V).  That costs one product per field and none for
+    the initial residual; a singular or non-finite small system falls back
+    to the newest field.  The start changes only how many iterations the
+    solve takes, never the tolerance the result meets.  Neither ``rhs`` nor
+    ``x0`` is written to.
 
     The system is normalized by ||b|| internally.  The norm squares the
     entries, so ||b|| underflows to 0.0 once max|rhs| falls below about
@@ -170,13 +177,19 @@ def solve_spd(matrix, rhs, tol: float = 1e-10, max_iter: int = 500, x0=None):
 
     inv_diag = 1.0 / matrix.diagonal()
     b = rhs / b_norm
-    x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=float) / b_norm
+    if x0 is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x, r = _galerkin_start(matrix, b, np.atleast_2d(x0) / b_norm)
+        if math.sqrt(r @ r) <= tol:
+            r = b - matrix @ x  # accept only on the true residual
     z = np.empty_like(b)
 
     iterations = 0
-    r = b - matrix @ x
     while True:
-        # r holds the true residual of the normalized system at this point.
+        # r holds the true residual of the normalized system at this point,
+        # or the projected one while that is still above tol.
         if math.sqrt(r @ r) <= tol:
             x *= b_norm
             return x
@@ -223,6 +236,23 @@ def solve_spd(matrix, rhs, tol: float = 1e-10, max_iter: int = 500, x0=None):
     )
 
 
+def _galerkin_start(matrix, b, basis):
+    """Return ``(x, b - A x)`` for the Galerkin projection of the solution
+    of A x = b onto the span of the rows of ``basis`` (newest first), which
+    is overwritten with its backward differences."""
+    for j in range(1, len(basis)):
+        basis[j:] = basis[j - 1 : -1] - basis[j:]
+    images = np.array([matrix @ v for v in basis])
+    try:
+        coeffs = np.linalg.solve(basis @ images.T, basis @ b)
+    except np.linalg.LinAlgError:
+        coeffs = None
+    if coeffs is None or not np.all(np.isfinite(coeffs)):
+        coeffs = np.zeros(len(basis))
+        coeffs[0] = 1.0
+    return coeffs @ basis, b - coeffs @ images
+
+
 def step(
     state: SimulationState,
     params: DimensionlessParameters,
@@ -235,8 +265,9 @@ def step(
     """Advance the state by one time step (see module docstring for the
     splitting).
 
-    ``guess`` is the tumor solve's initial guess; it defaults to the old
-    tumor field and changes only the iteration count.
+    ``guess`` is the tumor solve's ``x0``: one field or a stack of previous
+    tumor fields, newest first (see :func:`solve_spd`).  It defaults to the
+    old tumor field and changes only the iteration count.
     """
     t_old = state.t_field
     n_old = state.n_field
@@ -247,7 +278,11 @@ def step(
         raise InvalidParameterError("state field lengths do not match the mesh")
     if guess is None:
         guess = t_old
-    elif np.shape(guess) != t_old.shape:
+    elif (
+        np.ndim(guess) not in (1, 2)
+        or np.shape(guess)[-1:] != t_old.shape
+        or np.size(guess) == 0
+    ):
         raise InvalidParameterError("guess length does not match the mesh")
 
     p = vascular_fraction(phi_old, t_old)
@@ -322,10 +357,10 @@ def run(scenario, config: SolverConfig | None = None,
     final step; snapshots every ``snapshot_every`` steps plus the final step.
     Deterministic: identical inputs produce bit-identical outputs.
 
-    From the third step on, the tumor solve starts from the quadratic
-    extrapolation 3 T_k - 3 T_{k-1} + T_{k-2} of the last three fields.
-    While the fields move smoothly this lies closer to T_{k+1} than T_k
-    does, so CG needs fewer iterations to the same tolerance.
+    Each tumor solve starts from the Galerkin projection onto the last three
+    accepted T fields (fewer on the first two steps), taken with that step's
+    matrix.  While the fields move smoothly the solution lies close to their
+    span, so CG needs fewer iterations to the same tolerance.
     """
     if config is None:
         config = scenario.solver
@@ -336,15 +371,9 @@ def run(scenario, config: SolverConfig | None = None,
     violations: list[BoundViolation] = []
     metrics = [compute_sample(state, mesh, theta)]
     snapshots = [state.copy()]
-    history = [state.t_field]  # the last accepted T fields, newest last
-    extrapolated = np.empty_like(state.t_field)
+    history = [state.t_field]  # the last accepted T fields, newest first
 
     for k in range(1, n_steps + 1):
-        guess = None
-        if len(history) == 3:
-            guess = np.subtract(history[2], history[1], out=extrapolated)
-            guess *= 3.0
-            guess += history[0]
         try:
             state = step(
                 state,
@@ -353,7 +382,7 @@ def run(scenario, config: SolverConfig | None = None,
                 config.dt,
                 cg_tolerance=config.cg_tolerance,
                 cg_max_iterations=config.cg_max_iterations,
-                guess=guess,
+                guess=np.array(history),
             )
         except SolverFailure as exc:
             raise SolverFailure(
@@ -363,7 +392,7 @@ def run(scenario, config: SolverConfig | None = None,
                 step_index=k,
             ) from exc
         state.time = k * config.dt
-        history = history[-2:] + [state.t_field]
+        history = [state.t_field, *history[:2]]
         _check_bounds(state, k, violations)
         if k % config.metrics_every == 0 or k == n_steps:
             metrics.append(compute_sample(state, mesh, theta))

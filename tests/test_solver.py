@@ -42,6 +42,26 @@ def uniform_state(mesh, t=0.0, n=0.0, phi=0.0):
 
 # --- linear solver ----------------------------------------------------------
 
+class CountingMatrix:
+    """Matrix proxy that counts products and delegates the rest."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.matvecs = 0
+
+    def __matmul__(self, x):
+        self.matvecs += 1
+        return self.matrix @ x
+
+    def diagonal(self):
+        return self.matrix.diagonal()
+
+
+def random_spd(rng, n):
+    raw = rng.standard_normal((n, n))
+    return sparse.csr_matrix(raw @ raw.T + n * np.eye(n))
+
+
 def test_solve_spd_identity():
     matrix = sparse.identity(6, format="csr")
     b = np.arange(1.0, 7.0)
@@ -90,17 +110,46 @@ def test_solve_spd_iteration_budget():
     assert info.value.residual > 0
 
 
-def test_solve_spd_leaves_inputs_unmodified():
+@pytest.mark.parametrize("x0_shape", [(25,), (3, 25)], ids=["field", "stack"])
+def test_solve_spd_leaves_inputs_unmodified(x0_shape):
     rng = np.random.default_rng(15)
-    raw = rng.standard_normal((25, 25))
-    matrix = sparse.csr_matrix(raw @ raw.T + 25.0 * np.eye(25))
+    matrix = random_spd(rng, 25)
     b = rng.standard_normal(25)
-    x0 = rng.standard_normal(25)
+    x0 = rng.standard_normal(x0_shape)
     b_before, x0_before = b.copy(), x0.copy()
     x = solve_spd(matrix, b, tol=1e-12, x0=x0)
     assert np.array_equal(b, b_before)
     assert np.array_equal(x0, x0_before)
     assert x is not b and x is not x0
+    assert np.linalg.norm(matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("n_fields", [1, 2, 3])
+def test_solve_spd_exact_in_span_of_fields(n_fields):
+    # the Galerkin start recovers a solution that lies in the fields' span:
+    # one product per field, one to confirm the residual, no CG iteration
+    rng = np.random.default_rng(16)
+    matrix = random_spd(rng, 30)
+    fields = rng.standard_normal((n_fields, 30))
+    exact = np.array([0.3, -2.0, 0.7][:n_fields]) @ fields
+    b = matrix @ exact
+    counting = CountingMatrix(matrix)
+    x = solve_spd(counting, b, tol=1e-10, x0=fields)
+    assert counting.matvecs <= n_fields + 1
+    assert np.linalg.norm(matrix @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize(
+    "stack",
+    [np.tile(np.linspace(0.5, 1.5, 25), (3, 1)), np.zeros((3, 25))],
+    ids=["identical", "zero"],
+)
+def test_solve_spd_degenerate_stack_still_converges(stack):
+    rng = np.random.default_rng(17)
+    matrix = random_spd(rng, 25)
+    b = rng.standard_normal(25)
+    x = solve_spd(matrix, b, tol=1e-12, x0=stack)
+    assert np.all(np.isfinite(x))
     assert np.linalg.norm(matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
@@ -180,11 +229,12 @@ def test_step_rejects_mismatched_fields():
         step(bad, TABLE_PARAMS, mesh, 1e-3)
 
 
-def test_step_rejects_guess_of_wrong_length():
+@pytest.mark.parametrize("shape", [(5,), (3, 5)], ids=["field", "stack"])
+def test_step_rejects_guess_of_wrong_length(shape):
     mesh = build_mesh((0, 1, 0, 1), 3)
     state = uniform_state(mesh, t=0.1, phi=0.5)
     with pytest.raises(InvalidParameterError):
-        step(state, TABLE_PARAMS, mesh, 1e-3, guess=np.zeros(5))
+        step(state, TABLE_PARAMS, mesh, 1e-3, guess=np.zeros(shape))
 
 
 def test_bound_monitor_logs_each_violation_once(caplog):
@@ -244,23 +294,9 @@ def test_run_is_deterministic():
     assert np.array_equal(a.snapshots[-1].t_field, b.snapshots[-1].t_field)
 
 
-class CountingMatrix:
-    """Matrix proxy that counts products and delegates the rest."""
-
-    def __init__(self, matrix):
-        self.matrix = matrix
-        self.matvecs = 0
-
-    def __matmul__(self, x):
-        self.matvecs += 1
-        return self.matrix @ x
-
-    def diagonal(self):
-        return self.matrix.diagonal()
-
-
-def test_run_extrapolated_guess_saves_matvecs(monkeypatch):
-    # run() against a plain step loop, whose tumor solves start from T_old
+def test_run_projected_guess_saves_matvecs(monkeypatch):
+    # run() projects each tumor solve onto the last three T fields; a plain
+    # step loop projects onto T_old alone
     matvecs = []
     original = gbmsim.solver.solve_spd
 
