@@ -297,14 +297,18 @@ def sweep_runs(
     given order.  Every other setting is held fixed and the runs are
     independent, so no result depends on the order.
 
-    The arguments are checked at the call; each run happens when the
-    iterator reaches it.
+    The arguments are checked at the call, including values that are equal
+    as floats (each is one run); each run happens when the iterator reaches
+    it.
     """
     if param_name not in PARAMETER_NAMES:
         raise InvalidParameterError(f"unknown parameter {param_name!r}")
     values = [float(value) for value in values]
     if not values:
         raise InvalidParameterError("sweep needs at least one value")
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise InvalidParameterError(f"sweep values repeat: {repeated}")
     params = [replace(scenario.params, **{param_name: value}) for value in values]
     return (
         (value, run(replace(scenario, params=p), theta=theta))

@@ -377,6 +377,19 @@ def test_cli_sweep_without_values_fails_before_running(tmp_path):
     assert not out.exists()
 
 
+def test_cli_sweep_rejects_repeated_values(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(SMALL_RUN)
+    out = tmp_path / "sweep"
+    code = main(
+        ["sweep", "--config", str(config), "--param", "alpha",
+         "--values", "10,10.0", "--out", str(out)]
+    )
+    assert code == 1
+    assert "repeat" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _python_m_gbmsim(*argv):
     src = str(Path(gbmsim.__file__).resolve().parent.parent)
     env = dict(os.environ)

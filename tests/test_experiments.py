@@ -216,6 +216,21 @@ def test_sweep_runs_checks_arguments_before_running():
         sweep_runs(scenario, "alpha", [10.0, -1.0])
 
 
+def test_sweep_runs_rejects_values_equal_as_floats(monkeypatch):
+    import gbmsim.experiments
+
+    runs = []
+    monkeypatch.setattr(
+        gbmsim.experiments, "run", lambda *args, **kwargs: runs.append(args)
+    )
+    scenario = scenario_ring_width()
+    with pytest.raises(InvalidParameterError, match="repeat"):
+        sweep_runs(scenario, "alpha", [10, 10.0, 1e1])
+    with pytest.raises(InvalidParameterError, match="repeat"):
+        sweep(scenario, "alpha", [45.0, 10.0, 45])
+    assert runs == []
+
+
 def test_sweep_unknown_parameter():
     scenario = scenario_ring_width()
     with pytest.raises(InvalidParameterError):
