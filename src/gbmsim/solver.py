@@ -154,16 +154,14 @@ def solve_spd(matrix, rhs, tol: float = 1e-10, max_iter: int = 500, x0=None):
     iteration budget is exhausted.
 
     ``x0`` is one previous solution or a stack of them, newest first (zero
-    when omitted).  The iteration starts from the Galerkin projection of the
-    solution onto their span, taken with this ``matrix`` (Chan & Wan, SIAM
-    J. Sci. Comput. 18, 1997): with V the fields in the difference basis
-    [v0, v0 - v1, v0 - 2 v1 + v2, ...], which keeps the small system well
-    conditioned, it solves (V A V^T) c = V b and starts from x = c V with
-    residual b - c (A V).  That costs one product per field and none for
-    the initial residual; a singular or non-finite small system falls back
-    to the newest field.  The start changes only how many iterations the
-    solve takes, never the tolerance the result meets.  Neither ``rhs`` nor
-    ``x0`` is written to.
+    when omitted).  CG starts from the Galerkin projection onto their span
+    with this ``matrix`` (Chan & Wan, SIAM J. Sci. Comput. 18, 1997): with
+    V the fields in the difference basis [v0, v0 - v1, v0 - 2 v1 + v2, ...],
+    which keeps the small system well conditioned, it solves
+    (V A V^T) c = V b and starts from x = c V, r = b - c (A V), one product
+    per field.  A singular or non-finite small system falls back to the
+    newest field.  The start changes only the iteration count, never the
+    tolerance the result meets.  Neither ``rhs`` nor ``x0`` is written to.
 
     The system is normalized by ||b|| internally.  The norm squares the
     entries, so ||b|| underflows to 0.0 once max|rhs| falls below about
@@ -178,12 +176,10 @@ def solve_spd(matrix, rhs, tol: float = 1e-10, max_iter: int = 500, x0=None):
     inv_diag = 1.0 / matrix.diagonal()
     b = rhs / b_norm
     if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x, r = _galerkin_start(matrix, b, np.atleast_2d(x0) / b_norm)
-        if math.sqrt(r @ r) <= tol:
-            r = b - matrix @ x  # accept only on the true residual
+        x0 = np.zeros_like(rhs)
+    x, r = _galerkin_start(matrix, b, np.atleast_2d(x0) / b_norm)
+    if math.sqrt(r @ r) <= tol:
+        r = b - matrix @ x  # accept only on the true residual
     z = np.empty_like(b)
 
     iterations = 0
@@ -246,10 +242,9 @@ def _galerkin_start(matrix, b, basis):
     try:
         coeffs = np.linalg.solve(basis @ images.T, basis @ b)
     except np.linalg.LinAlgError:
-        coeffs = None
-    if coeffs is None or not np.all(np.isfinite(coeffs)):
-        coeffs = np.zeros(len(basis))
-        coeffs[0] = 1.0
+        coeffs = np.full(1, np.nan)
+    if not np.all(np.isfinite(coeffs)):
+        coeffs = np.eye(len(basis))[0]  # the newest field alone
     return coeffs @ basis, b - coeffs @ images
 
 
@@ -278,11 +273,7 @@ def step(
         raise InvalidParameterError("state field lengths do not match the mesh")
     if guess is None:
         guess = t_old
-    elif (
-        np.ndim(guess) not in (1, 2)
-        or np.shape(guess)[-1:] != t_old.shape
-        or np.size(guess) == 0
-    ):
+    elif not np.size(guess) or np.atleast_2d(guess).shape[1:] != t_old.shape:
         raise InvalidParameterError("guess length does not match the mesh")
 
     p = vascular_fraction(phi_old, t_old)
