@@ -297,9 +297,8 @@ def sweep_runs(
     given order.  Every other setting is held fixed and the runs are
     independent, so no result depends on the order.
 
-    The arguments are checked at the call, including values that are equal
-    as floats (each is one run); each run happens when the iterator reaches
-    it.
+    The arguments are checked at the call, and values that are equal as
+    floats are rejected; each run happens when the iterator reaches it.
     """
     if param_name not in PARAMETER_NAMES:
         raise InvalidParameterError(f"unknown parameter {param_name!r}")
