@@ -87,6 +87,63 @@ def test_out_of_range_value_rejected():
         parse_config("[solver]\ndt=0\n")
 
 
+SURFACE = "[ic]\nscenario=surface\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("[mesh\n", 1, "malformed section header '[mesh'"),
+    ("[parms]\nalpha=1\n", 1, "unknown section [parms]"),
+    ("[params]\nalpha\n", 2, "expected key=value, got 'alpha'"),
+    ("alpha=10\n", 1, "key=value before any [section]"),
+    ("[params]\nalhpa=100\n", 2, "unknown key 'alhpa' in [params]"),
+    ("[mesh]\nzone1=1\n", 2, "unknown key 'zone1' in [mesh]"),
+    ("[params]\nalpha=10\nalpha=20\n", 3, "duplicate key 'alpha' in [params]"),
+    ("[solver]\ndt=fast\n", 2, "expected a number, got 'fast'"),
+    ("[mesh]\nn_sub=many\n", 2, "expected an integer, got 'many'"),
+    ("[solver]\nmetrics_every=1.5\n", 2, "expected an integer, got '1.5'"),
+    ("[mesh]\nn_sub=0\n", 2, "n_sub must be >= 1"),
+    ("[ic]\nscenario=square\n", 2,
+     "scenario must be 'ring' or 'surface', got 'square'"),
+    ("[output]\nvtk=maybe\n", 2, "expected a boolean, got 'maybe'"),
+    ("[output]\ntheta=0\n", 2, "theta must be positive"),
+    ("[output]\ntheta=nan\n", 2, "theta must be positive"),
+    (SURFACE + "zone1=1, 2, 3\n", 3,
+     "zone needs 'cx, cy, radius, level', got '1, 2, 3'"),
+    (SURFACE + "zone1=0, x, 1, 0.5\n", 3, "expected a number, got 'x'"),
+    (SURFACE + "zone1=0, 0, -1, 0.5\n", 3, "zone radius must be positive, got -1.0"),
+    (SURFACE + "zone1=0, 0, 1, 0.5\nzone01=0, 0, 1, 0.5\n", 4,
+     "duplicate key 'zone1'"),
+    ("[ic]\nzone1=0, 0, 2, 0.5\n", 2, "zone keys require scenario=surface"),
+    # Range errors on one key.
+    ("[params]\nalpha=-3\n", None, "alpha must be nonnegative, got -3.0"),
+    ("[params]\nkappa1=nan\n", None, "kappa1 must be nonnegative, got nan"),
+    ("[solver]\ndt=0\n", None, "dt must be positive, got 0.0"),
+    ("[solver]\nt_final=-1\n", None, "t_final must be nonnegative, got -1.0"),
+    ("[solver]\ncg_tolerance=1\n", None, "cg_tolerance must lie in (0, 1), got 1.0"),
+    ("[solver]\ncg_max_iterations=0\n", None, "cg_max_iterations must be >= 1"),
+    ("[solver]\nsnapshot_every=0\n", None, "cadences must be >= 1"),
+    ("[ic]\ntumor_peak=1.5\n", None, "bump peak must lie in (0, 1], got 1.5"),
+    ("[ic]\ntumor_radius=0\n", None, "bump radius must be positive, got 0.0"),
+    ("[ic]\nnecrosis_level=2\n", None, "necrosis level must lie in [0, 1], got 2.0"),
+    ("[ic]\nvasculature_level=2\n", None,
+     "vasculature level must lie in [0, 1], got 2.0"),
+    (SURFACE + "zone_base_level=2\n", None, "base level must lie in [0, 1], got 2.0"),
+    # Range errors across keys.
+    ("[ic]\ntumor_center_x=20\n", None,
+     "tumor center (20.0, 0.0) outside domain (-9.0, 9.0, -9.0, 9.0)"),
+    ("[mesh]\nxmin=1\n", None,
+     "tumor center (0.0, 0.0) outside domain (1.0, 9.0, -9.0, 9.0)"),
+    (SURFACE + "zone1=8, 0, 2, 0.5\n", None,
+     "zone ZoneSpec(center=(8.0, 0.0), radius=2.0, level=0.5) does not lie "
+     "within domain (-9.0, 9.0, -9.0, 9.0)"),
+])
+def test_config_error_message_and_line(text, line, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert info.value.line == line
+    assert str(info.value) == (message if line is None else f"line {line}: {message}")
+
+
 def test_comments_and_blanks_ignored():
     text = "# leading comment\n\n[params]\nalpha = 60  # inline\n"
     assert parse_config(text).params.alpha == 60.0
