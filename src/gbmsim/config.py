@@ -2,28 +2,18 @@
 
 The format is deliberately plain: ``[section]`` headers, one ``key = value``
 per line, ``#`` comments.  Unknown sections and unknown keys are hard errors
-(a silently ignored typo is the classic way to invalidate a sweep), and every
-error carries the offending line number.
+(a silently ignored typo is the classic way to invalidate a sweep).  An error
+caused by one line carries that line's number; an error that involves several
+keys, such as the tumor center outside the ``[mesh]`` bounds, carries none.
 
-Sections and keys::
-
-    [mesh]    xmin xmax ymin ymax n_sub
-    [params]  kappa1 alpha beta1 beta2 gamma delta
-    [ic]      scenario (ring|surface) tumor_center_x tumor_center_y
-              tumor_radius tumor_peak necrosis_level vasculature_level
-              zone_base_level zone1..zoneN ("cx, cy, radius, level")
-              ode_tumor ode_necrosis ode_vasculature
-    [solver]  dt t_final cg_tolerance cg_max_iterations
-              snapshot_every metrics_every
-    [output]  theta vtk
-
-An empty file resolves to the ring-width preset.
+``_KEYS`` below holds every section and key; README.md lists them with their
+defaults.  An empty file resolves to the ring-width preset.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigError, InvalidParameterError, SimulationError
 from .experiments import (
@@ -34,6 +24,7 @@ from .experiments import (
     DEFAULT_UNIFORM_LEVEL,
     DEFAULT_ZONE_BASE,
     DEFAULT_ZONES,
+    PARAMETER_NAMES,
     BumpSpec,
     Scenario,
     UniformVasculature,
@@ -67,18 +58,14 @@ class RunConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     theta: float = DEFAULT_THRESHOLD
     vtk: bool = False
-    ode_initial: FieldTriple = field(
-        default_factory=lambda: FieldTriple(0.1, 0.0, 0.5)
-    )
+    ode_initial: FieldTriple = field(default_factory=lambda: FieldTriple(0.1, 0.0, 0.5))
 
     def to_scenario(self) -> Scenario:
         if self.scenario == "ring":
             vasculature = UniformVasculature(self.vasculature_level)
         else:
             zones = self.zones if self.zones is not None else DEFAULT_ZONES
-            vasculature = ZonedVasculature(
-                base_level=self.zone_base_level, zones=zones
-            )
+            vasculature = ZonedVasculature(base_level=self.zone_base_level, zones=zones)
         return Scenario(
             bounds=self.bounds,
             n_sub=self.n_sub,
@@ -94,227 +81,150 @@ class RunConfig:
         )
 
 
-def _parse_float(text: str, line: int) -> float:
+_DEFAULT = RunConfig()
+_EXPECTED = {float: "a number", int: "an integer"}
+
+
+def _parse(parser, text: str):
+    """``parser(text)``; a number that does not parse says what was expected."""
     try:
-        return float(text)
+        return parser(text)
     except ValueError:
-        raise ConfigError(f"expected a number, got {text!r}", line=line) from None
+        if parser in _EXPECTED:
+            raise ValueError(f"expected {_EXPECTED[parser]}, got {text!r}") from None
+        raise
 
 
-def _parse_int(text: str, line: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {text!r}", line=line) from None
-
-
-def _parse_bool(text: str, line: int) -> bool:
+def _bool(text: str) -> bool:
     lowered = text.lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}", line=line)
+    if lowered not in ("true", "yes", "on", "1", "false", "no", "off", "0"):
+        raise ValueError(f"expected a boolean, got {text!r}")
+    return lowered in ("true", "yes", "on", "1")
 
 
-def _parse_zone(text: str, line: int) -> ZoneSpec:
+def _scenario(text: str) -> str:
+    if text not in ("ring", "surface"):
+        raise ValueError(f"scenario must be 'ring' or 'surface', got {text!r}")
+    return text
+
+
+def _zone(text: str) -> ZoneSpec:
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != 4:
-        raise ConfigError(
-            f"zone needs 'cx, cy, radius, level', got {text!r}", line=line
-        )
-    cx, cy, radius, level = (_parse_float(part, line) for part in parts)
-    try:
-        return ZoneSpec(center=(cx, cy), radius=radius, level=level)
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc), line=line) from None
+        raise ValueError(f"zone needs 'cx, cy, radius, level', got {text!r}")
+    cx, cy, radius, level = (_parse(float, part) for part in parts)
+    return ZoneSpec(center=(cx, cy), radius=radius, level=level)
 
 
-_MESH_KEYS = {"xmin", "xmax", "ymin", "ymax", "n_sub"}
-_PARAM_KEYS = {"kappa1", "alpha", "beta1", "beta2", "gamma", "delta"}
-_IC_KEYS = {
-    "scenario",
-    "tumor_center_x",
-    "tumor_center_y",
-    "tumor_radius",
-    "tumor_peak",
-    "necrosis_level",
-    "vasculature_level",
-    "zone_base_level",
-    "ode_tumor",
-    "ode_necrosis",
-    "ode_vasculature",
+# Every key once: section -> key -> (parser, target).  Target None sets the
+# RunConfig field of the key's name, (field, slot) one slot of a tuple or a
+# dataclass field.  The zoneN keys match _ZONE_KEY, with slot N.
+_KEYS = {
+    "mesh": {
+        "xmin": (float, ("bounds", 0)),
+        "xmax": (float, ("bounds", 1)),
+        "ymin": (float, ("bounds", 2)),
+        "ymax": (float, ("bounds", 3)),
+        "n_sub": (int, None),
+    },
+    "params": {name: (float, ("params", name)) for name in PARAMETER_NAMES},
+    "ic": {
+        "scenario": (_scenario, None),
+        "tumor_center_x": (float, ("tumor_center", 0)),
+        "tumor_center_y": (float, ("tumor_center", 1)),
+        "tumor_radius": (float, None),
+        "tumor_peak": (float, None),
+        "necrosis_level": (float, None),
+        "vasculature_level": (float, None),
+        "zone_base_level": (float, None),
+        "ode_tumor": (float, ("ode_initial", "t_density")),
+        "ode_necrosis": (float, ("ode_initial", "n_density")),
+        "ode_vasculature": (float, ("ode_initial", "phi_density")),
+        _ZONE_KEY: (_zone, "zones"),
+    },
+    "solver": {
+        f.name: (type(f.default), ("solver", f.name)) for f in fields(SolverConfig)
+    },
+    "output": {"theta": (float, None), "vtk": (_bool, None)},
 }
-_SOLVER_KEYS = {
-    "dt",
-    "t_final",
-    "cg_tolerance",
-    "cg_max_iterations",
-    "snapshot_every",
-    "metrics_every",
-}
-_OUTPUT_KEYS = {"theta", "vtk"}
-_SECTIONS = {
-    "mesh": _MESH_KEYS,
-    "params": _PARAM_KEYS,
-    "ic": _IC_KEYS,
-    "solver": _SOLVER_KEYS,
-    "output": _OUTPUT_KEYS,
-}
+
+
+def _resolve(found: dict) -> RunConfig:
+    """The checked RunConfig of ``{key: (value, line, target)}``."""
+    kwargs = {key: item[0] for key, item in found.items() if item[2] is None}
+    slots: dict[str, dict] = {}
+    for value, _, target in found.values():
+        if target is not None:
+            slots.setdefault(target[0], {})[target[1]] = value
+    for name, values in slots.items():
+        default = getattr(_DEFAULT, name)
+        if is_dataclass(default):
+            kwargs[name] = replace(default, **values)
+        else:  # a tuple, or the zones (None by default), in slot order
+            merged = {**dict(enumerate(default or ())), **values}
+            kwargs[name] = tuple(merged[slot] for slot in sorted(merged))
+    config = RunConfig(**kwargs)
+    if config.n_sub < 1:
+        raise InvalidParameterError("n_sub must be >= 1")
+    if not config.theta > 0.0:
+        raise InvalidParameterError("theta must be positive")
+    config.to_scenario()
+    return config
+
+
+def _line_of(found: dict, message: str) -> int | None:
+    """The line of the one key without which ``message`` goes away; the scenario
+    (the one text value) and tuple slots enter only checks across keys."""
+    for key, (value, line, target) in found.items():
+        if isinstance(value, str) or target and isinstance(target[1], int):
+            continue
+        try:
+            _resolve({other: item for other, item in found.items() if other != key})
+        except SimulationError as exc:
+            if str(exc) == message:
+                continue
+        return line
+    return None
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse configuration text into a fully resolved :class:`RunConfig`.
-
-    Raises :class:`ConfigError` with a line number for syntax errors, unknown
-    sections/keys, duplicates, and out-of-range values.
-    """
-    entries: dict[tuple[str, str], tuple[str, int]] = {}
-    zone_entries: list[tuple[int, str, int]] = []
-    section: str | None = None
-
+    """Parse configuration text into a fully resolved :class:`RunConfig`;
+    syntax errors, unknown or repeated keys and bad values raise ConfigError."""
+    found, keys = {}, None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if stripped.startswith("["):
-            if not stripped.endswith("]"):
-                raise ConfigError(f"malformed section header {raw!r}", line=line_no)
-            name = stripped[1:-1].strip()
-            if name not in _SECTIONS:
-                raise ConfigError(f"unknown section [{name}]", line=line_no)
-            section = name
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"expected key=value, got {raw!r}", line=line_no)
-        if section is None:
-            raise ConfigError("key=value before any [section]", line=line_no)
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        zone_match = _ZONE_KEY.match(key) if section == "ic" else None
-        if zone_match:
-            zone_entries.append((int(zone_match.group(1)), value, line_no))
-            continue
-        if key not in _SECTIONS[section]:
-            raise ConfigError(f"unknown key {key!r} in [{section}]", line=line_no)
-        if (section, key) in entries:
-            raise ConfigError(f"duplicate key {key!r} in [{section}]", line=line_no)
-        entries[(section, key)] = (value, line_no)
-
-    config = RunConfig()
-
-    def take(section: str, key: str):
-        return entries.pop((section, key), None)
-
-    # [mesh]
-    bounds = list(config.bounds)
-    for i, key in enumerate(("xmin", "xmax", "ymin", "ymax")):
-        item = take("mesh", key)
-        if item is not None:
-            bounds[i] = _parse_float(*item)
-    config.bounds = tuple(bounds)
-    item = take("mesh", "n_sub")
-    if item is not None:
-        n_sub = _parse_int(*item)
-        if n_sub < 1:
-            raise ConfigError("n_sub must be >= 1", line=item[1])
-        config.n_sub = n_sub
-
-    # [params]
-    overrides = {}
-    for key in _PARAM_KEYS:
-        item = take("params", key)
-        if item is not None:
-            overrides[key] = _parse_float(*item)
-    if overrides:
         try:
-            config.params = replace(config.params, **overrides)
-        except InvalidParameterError as exc:
-            raise ConfigError(str(exc)) from None
-
-    # [ic]
-    item = take("ic", "scenario")
-    if item is not None:
-        value, line_no = item
-        if value not in ("ring", "surface"):
-            raise ConfigError(
-                f"scenario must be 'ring' or 'surface', got {value!r}", line=line_no
-            )
-        config.scenario = value
-    center = list(config.tumor_center)
-    for i, key in enumerate(("tumor_center_x", "tumor_center_y")):
-        item = take("ic", key)
-        if item is not None:
-            center[i] = _parse_float(*item)
-    config.tumor_center = tuple(center)
-    for attr, key in (
-        ("tumor_radius", "tumor_radius"),
-        ("tumor_peak", "tumor_peak"),
-        ("necrosis_level", "necrosis_level"),
-        ("vasculature_level", "vasculature_level"),
-        ("zone_base_level", "zone_base_level"),
-    ):
-        item = take("ic", key)
-        if item is not None:
-            setattr(config, attr, _parse_float(*item))
-    ode = [
-        config.ode_initial.t_density,
-        config.ode_initial.n_density,
-        config.ode_initial.phi_density,
-    ]
-    for i, key in enumerate(("ode_tumor", "ode_necrosis", "ode_vasculature")):
-        item = take("ic", key)
-        if item is not None:
-            ode[i] = _parse_float(*item)
-    config.ode_initial = FieldTriple(*ode)
-
-    if zone_entries:
-        if config.scenario != "surface":
-            raise ConfigError(
-                "zone keys require scenario=surface", line=zone_entries[0][2]
-            )
-        seen: set[int] = set()
-        zones = []
-        for number, value, line_no in sorted(zone_entries):
-            if number in seen:
-                raise ConfigError(f"duplicate key 'zone{number}'", line=line_no)
-            seen.add(number)
-            zones.append(_parse_zone(value, line_no))
-        config.zones = tuple(zones)
-
-    # [solver]
-    solver_kwargs = {}
-    for key, parser in (
-        ("dt", _parse_float),
-        ("t_final", _parse_float),
-        ("cg_tolerance", _parse_float),
-        ("cg_max_iterations", _parse_int),
-        ("snapshot_every", _parse_int),
-        ("metrics_every", _parse_int),
-    ):
-        item = take("solver", key)
-        if item is not None:
-            solver_kwargs[key] = parser(*item)
-    if solver_kwargs:
-        try:
-            config.solver = replace(config.solver, **solver_kwargs)
-        except InvalidParameterError as exc:
-            raise ConfigError(str(exc)) from None
-
-    # [output]
-    item = take("output", "theta")
-    if item is not None:
-        theta = _parse_float(*item)
-        if not theta > 0.0:
-            raise ConfigError("theta must be positive", line=item[1])
-        config.theta = theta
-    item = take("output", "vtk")
-    if item is not None:
-        config.vtk = _parse_bool(*item)
-
-    # Range checks that only make sense once everything is resolved.
+            if stripped.startswith("["):
+                if not stripped.endswith("]"):
+                    raise ValueError(f"malformed section header {raw!r}")
+                section = stripped[1:-1].strip()
+                keys = _KEYS.get(section)
+                if keys is None:
+                    raise ValueError(f"unknown section [{section}]")
+            elif stripped:
+                if "=" not in stripped:
+                    raise ValueError(f"expected key=value, got {raw!r}")
+                if keys is None:
+                    raise ValueError("key=value before any [section]")
+                key, value = (part.strip() for part in stripped.split("=", 1))
+                entry = keys.get(key)
+                zone = entry is None and _ZONE_KEY in keys and _ZONE_KEY.match(key)
+                if zone:
+                    parser, name = keys[_ZONE_KEY]
+                    key, entry = f"zone{int(zone[1])}", (parser, (name, int(zone[1])))
+                if entry is None:
+                    raise ValueError(f"unknown key {key!r} in [{section}]")
+                if key in found:
+                    where = "" if zone else f" in [{section}]"
+                    raise ValueError(f"duplicate key {key!r}{where}")
+                found[key] = (_parse(entry[0], value), line_no, entry[1])
+        except ValueError as exc:
+            raise ConfigError(str(exc), line=line_no) from None
     try:
-        config.to_scenario()
+        config = _resolve(found)
     except SimulationError as exc:
-        raise ConfigError(str(exc)) from None
-
+        raise ConfigError(str(exc), line=_line_of(found, str(exc))) from None
+    if config.zones is not None and config.scenario != "surface":
+        first = next(item for item in found.values() if isinstance(item[0], ZoneSpec))
+        raise ConfigError("zone keys require scenario=surface", line=first[1])
     return config

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from gbmsim import (
 )
 import gbmsim
 from gbmsim.cli import main
+from gbmsim.config import _KEYS
 
 
 # --- config parsing -----------------------------------------------------------
@@ -114,21 +116,24 @@ SURFACE = "[ic]\nscenario=surface\n"
     (SURFACE + "zone1=0, 0, 1, 0.5\nzone01=0, 0, 1, 0.5\n", 4,
      "duplicate key 'zone1'"),
     ("[ic]\nzone1=0, 0, 2, 0.5\n", 2, "zone keys require scenario=surface"),
-    # Range errors on one key.
-    ("[params]\nalpha=-3\n", None, "alpha must be nonnegative, got -3.0"),
-    ("[params]\nkappa1=nan\n", None, "kappa1 must be nonnegative, got nan"),
-    ("[solver]\ndt=0\n", None, "dt must be positive, got 0.0"),
-    ("[solver]\nt_final=-1\n", None, "t_final must be nonnegative, got -1.0"),
-    ("[solver]\ncg_tolerance=1\n", None, "cg_tolerance must lie in (0, 1), got 1.0"),
-    ("[solver]\ncg_max_iterations=0\n", None, "cg_max_iterations must be >= 1"),
-    ("[solver]\nsnapshot_every=0\n", None, "cadences must be >= 1"),
-    ("[ic]\ntumor_peak=1.5\n", None, "bump peak must lie in (0, 1], got 1.5"),
-    ("[ic]\ntumor_radius=0\n", None, "bump radius must be positive, got 0.0"),
-    ("[ic]\nnecrosis_level=2\n", None, "necrosis level must lie in [0, 1], got 2.0"),
-    ("[ic]\nvasculature_level=2\n", None,
+    # Range errors on one key carry that key's line.
+    ("[params]\nalpha=-3\n", 2, "alpha must be nonnegative, got -3.0"),
+    ("[params]\nkappa1=nan\n", 2, "kappa1 must be nonnegative, got nan"),
+    ("[params]\nbeta1=-1\nalpha=-3\n", 3, "alpha must be nonnegative, got -3.0"),
+    ("[solver]\ndt=0\n", 2, "dt must be positive, got 0.0"),
+    ("[solver]\nt_final=-1\n", 2, "t_final must be nonnegative, got -1.0"),
+    ("[solver]\ncg_tolerance=1\n", 2, "cg_tolerance must lie in (0, 1), got 1.0"),
+    ("[solver]\ncg_max_iterations=0\n", 2, "cg_max_iterations must be >= 1"),
+    ("[solver]\nsnapshot_every=0\n", 2, "cadences must be >= 1"),
+    ("[ic]\ntumor_peak=1.5\n", 2, "bump peak must lie in (0, 1], got 1.5"),
+    ("[ic]\ntumor_radius=0\n", 2, "bump radius must be positive, got 0.0"),
+    ("[ic]\nnecrosis_level=2\n", 2, "necrosis level must lie in [0, 1], got 2.0"),
+    ("[ic]\nvasculature_level=2\n", 2,
      "vasculature level must lie in [0, 1], got 2.0"),
-    (SURFACE + "zone_base_level=2\n", None, "base level must lie in [0, 1], got 2.0"),
-    # Range errors across keys.
+    (SURFACE + "zone_base_level=2\n", 3, "base level must lie in [0, 1], got 2.0"),
+    ("[ic]\nzone_base_level=2\nscenario=surface\n", 2,
+     "base level must lie in [0, 1], got 2.0"),
+    # Range errors across keys carry no line.
     ("[ic]\ntumor_center_x=20\n", None,
      "tumor center (20.0, 0.0) outside domain (-9.0, 9.0, -9.0, 9.0)"),
     ("[mesh]\nxmin=1\n", None,
@@ -142,6 +147,17 @@ def test_config_error_message_and_line(text, line, message):
         parse_config(text)
     assert info.value.line == line
     assert str(info.value) == (message if line is None else f"line {line}: {message}")
+
+
+def test_readme_config_block_resolves_to_the_defaults():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("All keys and defaults:\n\n```\n", 1)[1].split("```", 1)[0]
+    assert parse_config(block) == parse_config("")
+    for section, keys in _KEYS.items():
+        assert f"\n[{section}]" in "\n" + block
+        for key in keys:
+            name = key.pattern.rstrip("$") if isinstance(key, re.Pattern) else key
+            assert re.search(rf"^#? *{name} +=", block, re.M), key
 
 
 def test_comments_and_blanks_ignored():
