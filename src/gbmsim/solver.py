@@ -137,13 +137,6 @@ class HomogeneousTrajectory:
     def __len__(self) -> int:
         return int(self.times.size)
 
-    def state_at(self, index: int) -> FieldTriple:
-        return FieldTriple(
-            t_density=float(self.t_density[index]),
-            n_density=float(self.n_density[index]),
-            phi_density=float(self.phi_density[index]),
-        )
-
 
 def solve_spd(matrix, rhs, tol: float = 1e-10, max_iter: int = 500, x0=None):
     """Jacobi-preconditioned conjugate gradients for an SPD sparse system.
