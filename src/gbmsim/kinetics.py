@@ -43,7 +43,7 @@ class DimensionalParameters:
     death rate (cell/day), beta1 and beta2 the tumor->necrosis and
     vasculature->necrosis rates (1/day), gamma and delta the vasculature
     proliferation/destruction rates (1/day), and K the carrying capacity
-    (cell/cm^3).  All values must be strictly positive.
+    (cell/cm^3).  All values must be finite and strictly positive.
     """
 
     kappa1: float
@@ -63,6 +63,8 @@ class DimensionalParameters:
                 raise InvalidParameterError(
                     f"{name} must be strictly positive, got {value!r}"
                 )
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value!r}")
 
 
 _DIMENSIONLESS_FIELDS = ("kappa1", "alpha", "beta1", "beta2", "gamma", "delta")
@@ -74,7 +76,7 @@ class DimensionlessParameters:
 
     ``kappa1`` is the diffusion contrast (total diffusivity is
     ``kappa1 * P + 1``, hence at least 1); the remaining five are unitless
-    reaction rates.  All must be nonnegative.
+    reaction rates.  All must be finite and nonnegative.
     """
 
     kappa1: float
@@ -91,6 +93,8 @@ class DimensionlessParameters:
                 raise InvalidParameterError(
                     f"{name} must be nonnegative, got {value!r}"
                 )
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,9 +57,9 @@ UPPER_BOUND_TOL = 1e-6
 class SolverConfig:
     """Time-integration settings.
 
-    ``t_final`` may be zero (the run then only reports the initial state).
-    Cadences are in steps; metrics are additionally sampled at t = 0 and at
-    the final step.
+    Every value is finite.  ``t_final`` may be zero (the run then only reports
+    the initial state).  Cadences are in steps; metrics are additionally
+    sampled at t = 0 and at the final step.
     """
 
     dt: float = 1e-3
@@ -84,6 +84,12 @@ class SolverConfig:
             raise InvalidParameterError("cg_max_iterations must be >= 1")
         if self.snapshot_every < 1 or self.metrics_every < 1:
             raise InvalidParameterError("cadences must be >= 1")
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if not math.isfinite(value):
+                raise InvalidParameterError(
+                    f"{item.name} must be finite, got {value!r}"
+                )
 
 
 @dataclass
@@ -400,11 +406,11 @@ def run_homogeneous(
     """Integrate the space-free system with the same semi-implicit update as
     :func:`step`, minus diffusion.
 
-    The trajectory is sampled at every step.  Raises :class:`SolverFailure`
-    on numeric overflow.
+    The trajectory is sampled at every step.  ``dt`` and ``t_final`` are
+    checked as in :class:`SolverConfig`.  Raises :class:`SolverFailure` on
+    numeric overflow.
     """
-    if not dt > 0.0:
-        raise InvalidParameterError(f"dt must be positive, got {dt!r}")
+    SolverConfig(dt=dt, t_final=t_final)
     n_steps = int(round(t_final / dt))
     times = dt * np.arange(n_steps + 1)
     t_out = np.empty(n_steps + 1)

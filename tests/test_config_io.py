@@ -149,6 +149,22 @@ def test_config_error_message_and_line(text, line, message):
     assert str(info.value) == (message if line is None else f"line {line}: {message}")
 
 
+@pytest.mark.parametrize("key", ["dt", "t_final"])
+def test_non_finite_solver_value_rejected(key):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"[solver]\n{key} = inf\n")
+    assert info.value.line == 2
+    assert str(info.value) == f"line 2: {key} must be finite, got inf"
+
+
+@pytest.mark.parametrize("key", ["alpha", "kappa1"])
+def test_non_finite_rate_rejected(key):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"[params]\nbeta1 = 5\n{key} = inf\n")
+    assert info.value.line == 3
+    assert str(info.value) == f"line 3: {key} must be finite, got inf"
+
+
 def test_readme_config_block_resolves_to_the_defaults():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("All keys and defaults:\n\n```\n", 1)[1].split("```", 1)[0]
@@ -483,6 +499,17 @@ def test_python_m_gbmsim_runs_the_cli():
     usage = _python_m_gbmsim("sweep")
     assert usage.returncode == 2
     assert "usage:" in usage.stderr
+
+
+@pytest.mark.parametrize("command", ["run", "ode"])
+def test_cli_rejects_infinite_horizon(tmp_path, capsys, command):
+    config = tmp_path / "inf.cfg"
+    config.write_text("[solver]\nt_final = inf\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 2: t_final must be finite, got inf\n"
+    assert not out.exists()
 
 
 def test_cli_ode_writes_trajectory(tmp_path):

@@ -287,6 +287,22 @@ def test_dimensional_consistency_random():
         )
 
 
+@pytest.mark.parametrize("index", range(6))
+def test_dimensionless_parameters_reject_infinite(index):
+    rates = [55, 45, 27.5, 2.55, 0.255, 2.55]
+    rates[index] = math.inf
+    with pytest.raises(InvalidParameterError, match="must be finite, got inf"):
+        DimensionlessParameters(*rates)
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_dimensional_parameters_reject_infinite(index):
+    rates = [0.02, 0.01, 0.5, 1.0, 0.25, 0.5, 0.1, 0.125, 2.0]
+    rates[index] = math.inf
+    with pytest.raises(InvalidParameterError, match="must be finite, got inf"):
+        DimensionalParameters(*rates)
+
+
 def test_dimensionless_parameters_reject_negative():
     with pytest.raises(InvalidParameterError):
         DimensionlessParameters(55, -1.0, 27.5, 2.55, 0.255, 2.55)

@@ -13,6 +13,7 @@ from gbmsim import (
     InvalidParameterError,
     FieldTriple,
     SimulationState,
+    SolverConfig,
     SolverFailure,
     build_mesh,
     run,
@@ -396,6 +397,18 @@ def test_homogeneous_samples_every_step():
     trajectory = run_homogeneous(FieldTriple(0.1, 0.0, 0.5), TABLE_PARAMS, 1e-3, 0.01)
     assert len(trajectory) == 11
     assert trajectory.times[-1] == pytest.approx(0.01)
+
+
+@pytest.mark.parametrize("t_final", [-1.0, float("nan"), float("inf")])
+def test_homogeneous_rejects_bad_horizon(t_final):
+    with pytest.raises(InvalidParameterError, match="t_final"):
+        run_homogeneous(FieldTriple(0.1, 0.0, 0.5), TABLE_PARAMS, 1e-3, t_final)
+
+
+@pytest.mark.parametrize("name", ["dt", "t_final", "snapshot_every"])
+def test_solver_config_requires_finite_values(name):
+    with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
+        SolverConfig(**{name: float("inf")})
 
 
 # --- scheme robustness ----------------------------------------------------------
