@@ -6,8 +6,7 @@ per line, ``#`` comments.  Unknown sections and unknown keys are hard errors
 caused by one line carries that line's number; an error that involves several
 keys, such as the tumor center outside the ``[mesh]`` bounds, carries none.
 
-``_KEYS`` below holds every section and key; README.md lists them with their
-defaults.  An empty file resolves to the ring-width preset.
+README.md lists every key and its default; an empty file gives the ring preset.
 """
 
 from __future__ import annotations
@@ -58,14 +57,18 @@ class RunConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     theta: float = DEFAULT_THRESHOLD
     vtk: bool = False
-    ode_initial: FieldTriple = field(default_factory=lambda: FieldTriple(0.1, 0.0, 0.5))
+    ode_initial: FieldTriple = field(
+        default_factory=lambda: FieldTriple(0.1, 0.0, 0.5)
+    )
 
     def to_scenario(self) -> Scenario:
         if self.scenario == "ring":
             vasculature = UniformVasculature(self.vasculature_level)
         else:
             zones = self.zones if self.zones is not None else DEFAULT_ZONES
-            vasculature = ZonedVasculature(base_level=self.zone_base_level, zones=zones)
+            vasculature = ZonedVasculature(
+                base_level=self.zone_base_level, zones=zones
+            )
         return Scenario(
             bounds=self.bounds,
             n_sub=self.n_sub,
@@ -96,10 +99,9 @@ def _parse(parser, text: str):
 
 
 def _bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered not in ("true", "yes", "on", "1", "false", "no", "off", "0"):
+    if text.lower() not in ("true", "yes", "on", "1", "false", "no", "off", "0"):
         raise ValueError(f"expected a boolean, got {text!r}")
-    return lowered in ("true", "yes", "on", "1")
+    return text.lower() in ("true", "yes", "on", "1")
 
 
 def _scenario(text: str) -> str:
@@ -173,23 +175,21 @@ def _resolve(found: dict) -> RunConfig:
 
 
 def _line_of(found: dict, message: str) -> int | None:
-    """The line of the one key without which ``message`` goes away; the scenario
-    (the one text value) and tuple slots enter only checks across keys."""
-    for key, (value, line, target) in found.items():
-        if isinstance(value, str) or target and isinstance(target[1], int):
-            continue
-        try:
-            _resolve({other: item for other, item in found.items() if other != key})
-        except SimulationError as exc:
-            if str(exc) == message:
-                continue
-        return line
+    """The line of the one key whose value alone (with the scenario, the one text
+    value) raises ``message``; tuple slots enter only checks across keys."""
+    mode = {key: item for key, item in found.items() if isinstance(item[0], str)}
+    for key, item in found.items():
+        if item[2] is None or isinstance(item[2][1], str):
+            try:
+                _resolve({**mode, key: item})
+            except SimulationError as exc:
+                if str(exc) == message:
+                    return item[1]
     return None
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse configuration text into a fully resolved :class:`RunConfig`;
-    syntax errors, unknown or repeated keys and bad values raise ConfigError."""
+    """Parse config text into a resolved :class:`RunConfig`, or raise ConfigError."""
     found, keys = {}, None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
