@@ -85,7 +85,7 @@ def build_mesh(bounds, n_sub: int, diagonal: str = "main") -> StructuredTriMesh:
     Parameters
     ----------
     bounds : (xmin, xmax, ymin, ymax)
-        Nondegenerate rectangle.
+        Nondegenerate rectangle with finite bounds and spans.
     n_sub : int
         Subintervals per edge (>= 1).
     diagonal : "main" or "anti"
@@ -94,6 +94,11 @@ def build_mesh(bounds, n_sub: int, diagonal: str = "main") -> StructuredTriMesh:
     xmin, xmax, ymin, ymax = (float(b) for b in bounds)
     if n_sub < 1:
         raise MeshError(f"n_sub must be >= 1, got {n_sub}")
+    checked = {"xmin": xmin, "xmax": xmax, "ymin": ymin, "ymax": ymax,
+               "xmax - xmin": xmax - xmin, "ymax - ymin": ymax - ymin}
+    for name, value in checked.items():
+        if not np.isfinite(value):
+            raise MeshError(f"{name} must be finite, got {value!r}")
     if not (xmax > xmin and ymax > ymin):
         raise MeshError(f"degenerate bounds {bounds!r}")
     if diagonal not in ("main", "anti"):

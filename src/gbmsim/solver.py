@@ -153,14 +153,14 @@ def solve_spd(matrix, rhs, tol: float = 1e-10, max_iter: int = 500, x0=None):
     iteration budget is exhausted.
 
     ``x0`` is one previous solution or a stack of them, newest first (zero
-    when omitted).  CG starts from the Galerkin projection onto their span
-    with this ``matrix`` (Chan & Wan, SIAM J. Sci. Comput. 18, 1997): with
-    V the fields in the difference basis [v0, v0 - v1, v0 - 2 v1 + v2, ...],
-    which keeps the small system well conditioned, it solves
-    (V A V^T) c = V b and starts from x = c V, r = b - c (A V), one product
-    per field.  A singular or non-finite small system falls back to the
-    newest field.  The start changes only the iteration count, never the
-    tolerance the result meets.  Neither ``rhs`` nor ``x0`` is written to.
+    when omitted; :func:`run` passes four).  CG starts from the Galerkin
+    projection onto their span with this ``matrix`` (Chan & Wan, SIAM J.
+    Sci. Comput. 18, 1997): with V the fields in the difference basis
+    [v0, v0 - v1, v0 - 2 v1 + v2, v0 - 3 v1 + 3 v2 - v3], which keeps the
+    small system well conditioned, it solves (V A V^T) c = V b and starts
+    from x = c V, r = b - c (A V), one product per field.  A singular or
+    non-finite small system falls back to the newest field; the start only
+    changes the iteration count.  Neither ``rhs`` nor ``x0`` is written to.
 
     The system is normalized by ||b|| internally.  The norm squares the
     entries, so ||b|| underflows to 0.0 once max|rhs| falls below about
@@ -316,12 +316,12 @@ def _check_bounds(
     state: SimulationState, step_index: int, violations: list[BoundViolation]
 ) -> None:
     checks = (
-        ("T", float(state.t_field.min()), float(state.t_field.max()), True),
-        ("Phi", float(state.phi_field.min()), float(state.phi_field.max()), True),
-        ("N", float(state.n_field.min()), float(state.n_field.max()), False),
+        ("T", state.t_field, True),
+        ("Phi", state.phi_field, True),
+        ("N", state.n_field, False),  # no upper bound, so no maximum is taken
     )
-    for name, lo, hi, has_upper in checks:
-        if lo < -LOWER_BOUND_TOL:
+    for name, values, has_upper in checks:
+        if (lo := float(values.min())) < -LOWER_BOUND_TOL:
             violations.append(
                 BoundViolation(step_index, state.time, name, lo, "lower")
             )
@@ -329,7 +329,7 @@ def _check_bounds(
                 "bound violation at step %d (t=%.6g): %s min = %.3e",
                 step_index, state.time, name, lo,
             )
-        if has_upper and hi > 1.0 + UPPER_BOUND_TOL:
+        if has_upper and (hi := float(values.max())) > 1.0 + UPPER_BOUND_TOL:
             violations.append(
                 BoundViolation(step_index, state.time, name, hi, "upper")
             )
@@ -347,8 +347,8 @@ def run(scenario, config: SolverConfig | None = None,
     final step; snapshots every ``snapshot_every`` steps plus the final step.
     Deterministic: identical inputs produce bit-identical outputs.
 
-    Each tumor solve starts from the Galerkin projection onto the last three
-    accepted T fields (fewer on the first two steps), taken with that step's
+    Each tumor solve starts from the Galerkin projection onto the last four
+    accepted T fields (fewer on the first three steps), taken with that step's
     matrix.  While the fields move smoothly the solution lies close to their
     span, so CG needs fewer iterations to the same tolerance.
     """
@@ -382,7 +382,7 @@ def run(scenario, config: SolverConfig | None = None,
                 step_index=k,
             ) from exc
         state.time = k * config.dt
-        history = [state.t_field, *history[:2]]
+        history = [state.t_field, *history[:3]]
         _check_bounds(state, k, violations)
         if k % config.metrics_every == 0 or k == n_steps:
             metrics.append(compute_sample(state, mesh, theta))
@@ -407,19 +407,23 @@ def run_homogeneous(
     :func:`step`, minus diffusion.
 
     The trajectory is sampled at every step.  ``dt`` and ``t_final`` are
-    checked as in :class:`SolverConfig`.  Raises :class:`SolverFailure` on
-    numeric overflow.
+    checked as in :class:`SolverConfig`, and every ``initial`` component must
+    be finite.  Raises :class:`SolverFailure` on numeric overflow.
     """
     SolverConfig(dt=dt, t_final=t_final)
+    start = {f.name: float(getattr(initial, f.name)) for f in fields(initial)}
+    for name, value in start.items():
+        if not math.isfinite(value):
+            raise InvalidParameterError(
+                f"initial {name} must be finite, got {value!r}"
+            )
+    t, n, phi = start.values()
     n_steps = int(round(t_final / dt))
     times = dt * np.arange(n_steps + 1)
     t_out = np.empty(n_steps + 1)
     n_out = np.empty(n_steps + 1)
     phi_out = np.empty(n_steps + 1)
 
-    t = float(initial.t_density)
-    n = float(initial.n_density)
-    phi = float(initial.phi_density)
     alpha, beta1, beta2, gamma, delta = (
         params.alpha, params.beta1, params.beta2, params.gamma, params.delta,
     )

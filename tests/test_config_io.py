@@ -512,6 +512,34 @@ def test_cli_rejects_infinite_horizon(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "mesh, message",
+    [
+        ("xmax = inf", "xmax must be finite, got inf"),
+        ("xmin = -1e308\nxmax = 1e308", "xmax - xmin must be finite, got inf"),
+    ],
+)
+def test_cli_run_rejects_non_finite_bounds(tmp_path, capsys, mesh, message):
+    config = tmp_path / "mesh.cfg"
+    config.write_text(f"[mesh]\nn_sub = 4\n{mesh}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_ode_rejects_non_finite_initial_state(tmp_path, capsys, value):
+    config = tmp_path / "ode.cfg"
+    config.write_text(f"[ic]\node_tumor = {value}\n")
+    out = tmp_path / "out"
+    assert main(["ode", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: initial t_density must be finite, got {value}\n"
+    assert not out.exists()
+
+
 def test_cli_ode_writes_trajectory(tmp_path):
     config = tmp_path / "ode.cfg"
     config.write_text("[solver]\nt_final=0.5\nmetrics_every=100\n")

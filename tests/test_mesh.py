@@ -5,6 +5,8 @@ gradients come from solving the three plane equations per triangle instead of
 the analytic edge formulas used by the package.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,22 @@ def test_invalid_mesh_arguments():
         build_mesh((1, 0, 0, 1), 4)
     with pytest.raises(MeshError):
         build_mesh((0, 1, 2, 2), 4)
+
+
+@pytest.mark.parametrize(
+    "bounds, name",
+    [
+        ((0, float("inf"), 0, 1), "xmax"),
+        ((-float("inf"), 1, 0, 1), "xmin"),
+        ((0, 1, float("nan"), 1), "ymin"),
+        ((0, 1, 0, float("nan")), "ymax"),
+        ((-1e308, 1e308, 0, 1), "xmax - xmin"),
+        ((0, 1, -1e308, 1e308), "ymax - ymin"),
+    ],
+)
+def test_non_finite_bounds_and_spans_rejected(bounds, name):
+    with pytest.raises(MeshError, match=f"^{re.escape(name)} must be finite"):
+        build_mesh(bounds, 4)
 
 
 def test_triangle_orientation_positive():

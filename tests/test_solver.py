@@ -132,14 +132,14 @@ def _check_inputs_unmodified(x0_shape):
     assert np.linalg.norm(matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("n_fields", [1, 2, 3])
+@pytest.mark.parametrize("n_fields", [1, 2, 3, 4])
 def test_solve_spd_exact_in_span_of_fields(n_fields):
     # the Galerkin start recovers a solution that lies in the fields' span:
     # one product per field, one to confirm the residual, no CG iteration
     rng = np.random.default_rng(16)
     matrix = random_spd(rng, 30)
     fields = rng.standard_normal((n_fields, 30))
-    exact = np.array([0.3, -2.0, 0.7][:n_fields]) @ fields
+    exact = np.array([0.3, -2.0, 0.7, 1.4][:n_fields]) @ fields
     b = matrix @ exact
     counting = CountingMatrix(matrix)
     x = solve_spd(counting, b, tol=1e-10, x0=fields)
@@ -310,7 +310,7 @@ def test_run_is_deterministic():
 
 
 def test_run_projected_guess_saves_matvecs(monkeypatch):
-    # run() projects each tumor solve onto the last three T fields; a plain
+    # run() projects each tumor solve onto the last four T fields; a plain
     # step loop projects onto T_old alone
     matvecs = []
     original = gbmsim.solver.solve_spd
@@ -350,6 +350,36 @@ def test_run_projected_guess_saves_matvecs(monkeypatch):
     assert np.abs(t_run - state.t_field).max() <= 1e-6 * scale
     assert result.bound_violations == []
     assert t_run.min() >= 0.0
+
+
+def test_run_guesses_from_the_last_four_tumor_fields(monkeypatch):
+    # step k gets the accepted T fields k-1, k-2, ... (at most four), newest
+    # first, with T at t = 0 as field 0
+    guesses, t_fields = [], []
+    original = gbmsim.solver.step
+
+    def recording_step(state, *args, guess=None, **kwargs):
+        guesses.append(np.array(guess))
+        after = original(state, *args, guess=guess, **kwargs)
+        t_fields.append(after.t_field.copy())
+        return after
+
+    monkeypatch.setattr(gbmsim.solver, "step", recording_step)
+    scenario = scenario_ring_width()
+    scenario = replace(
+        scenario, n_sub=8, solver=replace(scenario.solver, t_final=0.007)
+    )
+    mesh = scenario.build_mesh()
+    t_fields.append(scenario.initial_state(mesh).t_field)
+    run(scenario)
+
+    nv = mesh.num_vertices
+    assert [g.shape for g in guesses] == [
+        (1, nv), (2, nv), (3, nv), (4, nv), (4, nv), (4, nv), (4, nv)
+    ]
+    for k, guess in enumerate(guesses, start=1):
+        for age, field in enumerate(guess):
+            assert np.array_equal(field, t_fields[k - 1 - age])
 
 
 def test_run_annotates_solver_failure_with_step():
@@ -403,6 +433,14 @@ def test_homogeneous_samples_every_step():
 def test_homogeneous_rejects_bad_horizon(t_final):
     with pytest.raises(InvalidParameterError, match="t_final"):
         run_homogeneous(FieldTriple(0.1, 0.0, 0.5), TABLE_PARAMS, 1e-3, t_final)
+
+
+@pytest.mark.parametrize("name", ["t_density", "n_density", "phi_density"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_homogeneous_rejects_non_finite_initial_state(name, value):
+    initial = replace(FieldTriple(0.1, 0.0, 0.5), **{name: value})
+    with pytest.raises(InvalidParameterError, match=f"initial {name} must be finite"):
+        run_homogeneous(initial, TABLE_PARAMS, 1e-3, 0.01)
 
 
 @pytest.mark.parametrize("name", ["dt", "t_final", "snapshot_every"])
