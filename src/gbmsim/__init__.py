@@ -61,12 +61,10 @@ from .experiments import (
     PARAMETER_RANGES,
     BumpSpec,
     Scenario,
-    UniformVasculature,
     ZonedVasculature,
     ZoneSpec,
     default_sweep_values,
     ic_tumor_bump,
-    ic_vasculature_uniform,
     ic_vasculature_zones,
     scenario_ring_width,
     scenario_surface_regularity,

@@ -11,13 +11,13 @@ README.md lists every key and its default; an empty file gives the ring preset.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigError, InvalidParameterError, SimulationError
 from .experiments import (
     DEFAULT_BOUNDS,
-    DEFAULT_BUMP,
     DEFAULT_N_SUB,
     DEFAULT_PARAMETERS,
     DEFAULT_UNIFORM_LEVEL,
@@ -26,7 +26,6 @@ from .experiments import (
     PARAMETER_NAMES,
     BumpSpec,
     Scenario,
-    UniformVasculature,
     ZonedVasculature,
     ZoneSpec,
 )
@@ -47,9 +46,9 @@ class RunConfig:
     bounds: tuple[float, float, float, float] = DEFAULT_BOUNDS
     n_sub: int = DEFAULT_N_SUB
     params: DimensionlessParameters = DEFAULT_PARAMETERS
-    tumor_center: tuple[float, float] = DEFAULT_BUMP["center"]
-    tumor_radius: float = DEFAULT_BUMP["radius"]
-    tumor_peak: float = DEFAULT_BUMP["peak"]
+    tumor_center: tuple[float, float] = BumpSpec.center
+    tumor_radius: float = BumpSpec.radius
+    tumor_peak: float = BumpSpec.peak
     necrosis_level: float = 0.0
     vasculature_level: float = DEFAULT_UNIFORM_LEVEL
     zone_base_level: float = DEFAULT_ZONE_BASE
@@ -63,12 +62,10 @@ class RunConfig:
 
     def to_scenario(self) -> Scenario:
         if self.scenario == "ring":
-            vasculature = UniformVasculature(self.vasculature_level)
+            vasculature = ZonedVasculature(self.vasculature_level, ())
         else:
             zones = self.zones if self.zones is not None else DEFAULT_ZONES
-            vasculature = ZonedVasculature(
-                base_level=self.zone_base_level, zones=zones
-            )
+            vasculature = ZonedVasculature(self.zone_base_level, zones)
         return Scenario(
             bounds=self.bounds,
             n_sub=self.n_sub,
@@ -170,6 +167,8 @@ def _resolve(found: dict) -> RunConfig:
         raise InvalidParameterError("n_sub must be >= 1")
     if not config.theta > 0.0:
         raise InvalidParameterError("theta must be positive")
+    if not math.isfinite(config.theta):
+        raise InvalidParameterError(f"theta must be finite, got {config.theta!r}")
     config.to_scenario()
     return config
 

@@ -29,11 +29,9 @@ __all__ = [
     "DEFAULT_N_SUB",
     "BumpSpec",
     "ZoneSpec",
-    "UniformVasculature",
     "ZonedVasculature",
     "Scenario",
     "ic_tumor_bump",
-    "ic_vasculature_uniform",
     "ic_vasculature_zones",
     "scenario_ring_width",
     "scenario_surface_regularity",
@@ -59,15 +57,14 @@ PARAMETER_RANGES: dict[str, tuple[float, float]] = {
 
 DEFAULT_BOUNDS = (-9.0, 9.0, -9.0, 9.0)
 DEFAULT_N_SUB = 45
-
-DEFAULT_BUMP = dict(center=(0.0, 0.0), radius=3.0, peak=0.5)
 DEFAULT_UNIFORM_LEVEL = 0.5
 
 
 @dataclass(frozen=True)
 class BumpSpec:
     """Truncated Gaussian tumor seed: value peak at the center, standard
-    deviation radius/3, hard cutoff at the radius."""
+    deviation radius/3, hard cutoff at the radius.  The defaults are the
+    presets' seed."""
 
     center: tuple[float, float] = (0.0, 0.0)
     radius: float = 3.0
@@ -76,6 +73,10 @@ class BumpSpec:
     def __post_init__(self):
         if not self.radius > 0.0:
             raise InvalidParameterError(f"bump radius must be positive, got {self.radius!r}")
+        if not math.isfinite(self.radius):
+            raise InvalidParameterError(
+                f"bump radius must be finite, got {self.radius!r}"
+            )
         if not 0.0 < self.peak <= 1.0:
             raise InvalidParameterError(f"bump peak must lie in (0, 1], got {self.peak!r}")
 
@@ -117,25 +118,17 @@ DEFAULT_ZONES = (
 
 
 @dataclass(frozen=True)
-class UniformVasculature:
-    level: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.level <= 1.0:
-            raise InvalidParameterError(
-                f"vasculature level must lie in [0, 1], got {self.level!r}"
-            )
-
-
-@dataclass(frozen=True)
 class ZonedVasculature:
+    """Initial vasculature: base_level everywhere, overridden inside each zone.
+    With no zones the field is uniform."""
+
     base_level: float
     zones: tuple[ZoneSpec, ...]
 
     def __post_init__(self):
         if not 0.0 <= self.base_level <= 1.0:
             raise InvalidParameterError(
-                f"base level must lie in [0, 1], got {self.base_level!r}"
+                f"vasculature level must lie in [0, 1], got {self.base_level!r}"
             )
 
 
@@ -151,7 +144,7 @@ class Scenario:
     n_sub: int
     params: DimensionlessParameters
     tumor_ic: BumpSpec
-    vasculature_ic: UniformVasculature | ZonedVasculature
+    vasculature_ic: ZonedVasculature
     necrosis_level: float = 0.0
     solver: SolverConfig = SolverConfig()
 
@@ -166,17 +159,15 @@ class Scenario:
             raise InvalidParameterError(
                 f"tumor center {self.tumor_ic.center} outside domain {self.bounds}"
             )
-        if isinstance(self.vasculature_ic, ZonedVasculature):
-            for zone in self.vasculature_ic.zones:
-                zx, zy = zone.center
-                r = zone.radius
-                if not (
-                    xmin <= zx - r and zx + r <= xmax
-                    and ymin <= zy - r and zy + r <= ymax
-                ):
-                    raise InvalidParameterError(
-                        f"zone {zone} does not lie within domain {self.bounds}"
-                    )
+        for zone in self.vasculature_ic.zones:
+            (zx, zy), r = zone.center, zone.radius
+            if not (
+                xmin <= zx - r and zx + r <= xmax
+                and ymin <= zy - r and zy + r <= ymax
+            ):
+                raise InvalidParameterError(
+                    f"zone {zone} does not lie within domain {self.bounds}"
+                )
 
     def build_mesh(self) -> StructuredTriMesh:
         return build_mesh(self.bounds, self.n_sub)
@@ -185,12 +176,9 @@ class Scenario:
         tumor = ic_tumor_bump(
             mesh, self.tumor_ic.center, self.tumor_ic.radius, self.tumor_ic.peak
         )
-        if isinstance(self.vasculature_ic, UniformVasculature):
-            vasculature = ic_vasculature_uniform(mesh, self.vasculature_ic.level)
-        else:
-            vasculature = ic_vasculature_zones(
-                mesh, self.vasculature_ic.base_level, self.vasculature_ic.zones
-            )
+        vasculature = ic_vasculature_zones(
+            mesh, self.vasculature_ic.base_level, self.vasculature_ic.zones
+        )
         necrosis = np.full(mesh.num_vertices, float(self.necrosis_level))
         return SimulationState(
             time=0.0, t_field=tumor, n_field=necrosis, phi_field=vasculature
@@ -214,23 +202,15 @@ def ic_tumor_bump(mesh: StructuredTriMesh, center, radius: float, peak: float):
     return np.where(dist_sq <= radius * radius, values, 0.0)
 
 
-def ic_vasculature_uniform(mesh: StructuredTriMesh, level: float):
-    if not 0.0 <= level <= 1.0:
-        raise InvalidParameterError(f"level must lie in [0, 1], got {level!r}")
-    return np.full(mesh.num_vertices, float(level))
-
-
 def ic_vasculature_zones(mesh: StructuredTriMesh, base_level: float, zones):
     """Constant base field overridden inside each disc; later zones win on
     overlap."""
     if not 0.0 <= base_level <= 1.0:
         raise InvalidParameterError(
-            f"base level must lie in [0, 1], got {base_level!r}"
+            f"vasculature level must lie in [0, 1], got {base_level!r}"
         )
     field = np.full(mesh.num_vertices, float(base_level))
     for zone in zones:
-        if not isinstance(zone, ZoneSpec):
-            zone = ZoneSpec(center=tuple(zone[0]), radius=zone[1], level=zone[2])
         dx = mesh.vertices[:, 0] - zone.center[0]
         dy = mesh.vertices[:, 1] - zone.center[1]
         inside = dx * dx + dy * dy <= zone.radius * zone.radius
@@ -242,15 +222,7 @@ def scenario_ring_width(
     param_overrides: Mapping[str, float] | None = None,
 ) -> Scenario:
     """Ring-width preset: uniform initial vasculature, zero necrosis."""
-    return Scenario(
-        bounds=DEFAULT_BOUNDS,
-        n_sub=DEFAULT_N_SUB,
-        params=_override(DEFAULT_PARAMETERS, param_overrides),
-        tumor_ic=BumpSpec(**DEFAULT_BUMP),
-        vasculature_ic=UniformVasculature(DEFAULT_UNIFORM_LEVEL),
-        necrosis_level=0.0,
-        solver=SolverConfig(),
-    )
+    return _preset(ZonedVasculature(DEFAULT_UNIFORM_LEVEL, ()), param_overrides)
 
 
 def scenario_surface_regularity(
@@ -258,16 +230,17 @@ def scenario_surface_regularity(
 ) -> Scenario:
     """Surface-regularity preset: three vascular corridors on an avascular
     background."""
+    return _preset(ZonedVasculature(DEFAULT_ZONE_BASE, DEFAULT_ZONES), param_overrides)
+
+
+def _preset(vasculature: ZonedVasculature, overrides) -> Scenario:
+    """The default domain, rates and seed with the given vasculature."""
     return Scenario(
         bounds=DEFAULT_BOUNDS,
         n_sub=DEFAULT_N_SUB,
-        params=_override(DEFAULT_PARAMETERS, param_overrides),
-        tumor_ic=BumpSpec(**DEFAULT_BUMP),
-        vasculature_ic=ZonedVasculature(
-            base_level=DEFAULT_ZONE_BASE, zones=DEFAULT_ZONES
-        ),
-        necrosis_level=0.0,
-        solver=SolverConfig(),
+        params=_override(DEFAULT_PARAMETERS, overrides),
+        tumor_ic=BumpSpec(),
+        vasculature_ic=vasculature,
     )
 
 

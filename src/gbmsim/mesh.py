@@ -163,8 +163,8 @@ def lumped_mass(mesh: StructuredTriMesh) -> np.ndarray:
 def _stencil_layout(n_sub: int):
     """CSR layout of the 5-point stencil on the (n_sub + 1)^2 vertex grid.
 
-    Returns read-only ``(gather, indices, indptr, diag_slots)``.  Row r of the
-    matrix stores its south, west, centre, east and north entries, in that
+    Returns read-only ``(gather, indices, indptr)``.  Row r of the matrix
+    stores its south, west, centre, east and north entries, in that
     (column-sorted) order, skipping neighbours outside the grid; ``gather``
     picks those entries out of a flattened (5, n_sub + 1, n_sub + 1) stencil.
     """
@@ -179,15 +179,16 @@ def _stencil_layout(n_sub: int):
     indices = (row + np.array([-m, -1, 0, 1, m])[position]).astype(np.int32)
     indptr = np.zeros(m * m + 1, dtype=np.int32)
     np.cumsum(present.sum(axis=2).ravel(), out=indptr[1:])
-    diag_slots = np.flatnonzero(position == 2)
-    layout = (gather, indices, indptr, diag_slots)
+    layout = (gather, indices, indptr)
     for array in layout:
         array.flags.writeable = False
     return layout
 
 
-def assemble_stiffness(mesh: StructuredTriMesh, diffusivity) -> sparse.csr_matrix:
-    """Assemble the variable-coefficient stiffness matrix.
+def assemble_stiffness(
+    mesh: StructuredTriMesh, diffusivity, shift=None
+) -> sparse.csr_matrix:
+    """Assemble the variable-coefficient stiffness matrix plus ``diag(shift)``.
 
     The per-triangle diffusivity is the arithmetic mean of the three vertex
     values, which preserves symmetry and is exact for constant fields.  Every
@@ -197,7 +198,8 @@ def assemble_stiffness(mesh: StructuredTriMesh, diffusivity) -> sparse.csr_matri
     means of its one or two triangles, a vertical edge hx / (2 hy) times
     theirs.  The zero-flux boundary condition is natural: no rows are
     modified and each diagonal entry is minus its row's off-diagonal sum, so
-    the matrix annihilates constants.
+    the matrix annihilates constants.  The optional per-vertex ``shift``
+    (the solver's lumped mass and reaction terms) is added after that sum.
     """
     diffusivity = np.asarray(diffusivity, dtype=float)
     if diffusivity.shape != (mesh.num_vertices,):
@@ -236,21 +238,14 @@ def assemble_stiffness(mesh: StructuredTriMesh, diffusivity) -> sparse.csr_matri
     stencil[3, :, :-1] = west
     stencil[4, :-1] = south
     stencil[2] = -stencil.sum(axis=0)
+    if shift is not None:
+        stencil[2] += np.reshape(shift, (m, m))
 
-    gather, indices, indptr, _ = _stencil_layout(n)
+    gather, indices, indptr = _stencil_layout(n)
     return sparse.csr_matrix(
         (stencil.ravel().take(gather), indices, indptr),
         shape=(mesh.num_vertices, mesh.num_vertices),
     )
-
-
-def stiffness_diag_slots(mesh: StructuredTriMesh) -> np.ndarray:
-    """Positions of the diagonal entries inside the assembled CSR data array.
-
-    The solver adds its lumped mass and reaction coefficients there without
-    re-deriving the layout.
-    """
-    return _stencil_layout(mesh.n_sub)[3]
 
 
 def lumped_integral(mesh: StructuredTriMesh, field_values) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, SolverFailure
 from .kinetics import DimensionlessParameters, FieldTriple, vascular_fraction
-from .mesh import StructuredTriMesh, assemble_stiffness, stiffness_diag_slots
+from .mesh import StructuredTriMesh, assemble_stiffness
 from .metrics import DEFAULT_THRESHOLD, MetricsSample, compute_sample
 
 __all__ = [
@@ -281,13 +281,12 @@ def step(
     crowd_pos = np.maximum(crowding, 0.0)
     crowd_neg = np.maximum(-crowding, 0.0)
 
-    diffusivity = params.kappa1 * p + 1.0
-    system = assemble_stiffness(mesh, diffusivity)
     weights = mesh.lumped_weights
-
     sink = params.alpha * lack + params.beta1 * n_old + p * crowd_neg
     gain = t_old * p * crowd_pos
-    system.data[stiffness_diag_slots(mesh)] += weights * (1.0 / dt + sink)
+    system = assemble_stiffness(
+        mesh, params.kappa1 * p + 1.0, weights * (1.0 / dt + sink)
+    )
     rhs = weights * (t_old / dt + gain)
     t_new = solve_spd(
         system, rhs, tol=cg_tolerance, max_iter=cg_max_iterations, x0=guess

@@ -18,6 +18,8 @@ from gbmsim import (
     SimulationState,
     build_mesh,
     parse_config,
+    scenario_ring_width,
+    scenario_surface_regularity,
     write_metrics_csv,
     write_snapshot,
 )
@@ -36,7 +38,26 @@ def test_empty_config_is_ring_defaults():
     assert config.solver.dt == 1e-3
     assert config.theta == 0.001
     scenario = config.to_scenario()
-    assert scenario.vasculature_ic.level == 0.5
+    assert scenario.vasculature_ic.base_level == 0.5
+    assert scenario.vasculature_ic.zones == ()
+
+
+@pytest.mark.parametrize(
+    "text, preset",
+    [
+        ("", scenario_ring_width),
+        ("[ic]\nscenario=surface\n", scenario_surface_regularity),
+    ],
+    ids=["ring", "surface"],
+)
+def test_default_config_is_the_preset(text, preset):
+    scenario = parse_config(text).to_scenario()
+    assert scenario == preset()
+    mesh = scenario.build_mesh()
+    from_config = scenario.initial_state(mesh)
+    from_preset = preset().initial_state(mesh)
+    for name in ("t_field", "n_field", "phi_field"):
+        assert np.array_equal(getattr(from_config, name), getattr(from_preset, name))
 
 
 def test_param_override():
@@ -109,6 +130,7 @@ SURFACE = "[ic]\nscenario=surface\n"
     ("[output]\nvtk=maybe\n", 2, "expected a boolean, got 'maybe'"),
     ("[output]\ntheta=0\n", 2, "theta must be positive"),
     ("[output]\ntheta=nan\n", 2, "theta must be positive"),
+    ("[output]\ntheta=inf\n", 2, "theta must be finite, got inf"),
     (SURFACE + "zone1=1, 2, 3\n", 3,
      "zone needs 'cx, cy, radius, level', got '1, 2, 3'"),
     (SURFACE + "zone1=0, x, 1, 0.5\n", 3, "expected a number, got 'x'"),
@@ -127,12 +149,14 @@ SURFACE = "[ic]\nscenario=surface\n"
     ("[solver]\nsnapshot_every=0\n", 2, "cadences must be >= 1"),
     ("[ic]\ntumor_peak=1.5\n", 2, "bump peak must lie in (0, 1], got 1.5"),
     ("[ic]\ntumor_radius=0\n", 2, "bump radius must be positive, got 0.0"),
+    ("[ic]\ntumor_radius=inf\n", 2, "bump radius must be finite, got inf"),
     ("[ic]\nnecrosis_level=2\n", 2, "necrosis level must lie in [0, 1], got 2.0"),
     ("[ic]\nvasculature_level=2\n", 2,
      "vasculature level must lie in [0, 1], got 2.0"),
-    (SURFACE + "zone_base_level=2\n", 3, "base level must lie in [0, 1], got 2.0"),
+    (SURFACE + "zone_base_level=2\n", 3,
+     "vasculature level must lie in [0, 1], got 2.0"),
     ("[ic]\nzone_base_level=2\nscenario=surface\n", 2,
-     "base level must lie in [0, 1], got 2.0"),
+     "vasculature level must lie in [0, 1], got 2.0"),
     # Range errors across keys carry no line.
     ("[ic]\ntumor_center_x=20\n", None,
      "tumor center (20.0, 0.0) outside domain (-9.0, 9.0, -9.0, 9.0)"),
@@ -479,24 +503,25 @@ def test_cli_sweep_rejects_repeated_values(tmp_path, capsys):
     assert not out.exists()
 
 
-def _python_m_gbmsim(*argv):
+def _python_m(module, *argv):
     src = str(Path(gbmsim.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, "-m", "gbmsim", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
 
-def test_python_m_gbmsim_runs_the_cli():
-    presets = _python_m_gbmsim("presets")
+@pytest.mark.parametrize("module", ["gbmsim", "gbmsim.cli"])
+def test_python_m_gbmsim_runs_the_cli(module):
+    presets = _python_m(module, "presets")
     assert presets.returncode == 0
     assert "kappa1=55.0" in presets.stdout
     assert "surface preset:" in presets.stdout
-    usage = _python_m_gbmsim("sweep")
+    usage = _python_m(module, "sweep")
     assert usage.returncode == 2
     assert "usage:" in usage.stderr
 

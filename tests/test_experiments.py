@@ -13,7 +13,6 @@ from gbmsim import (
     build_mesh,
     default_sweep_values,
     ic_tumor_bump,
-    ic_vasculature_uniform,
     ic_vasculature_zones,
     lumped_integral,
     scenario_ring_width,
@@ -65,7 +64,8 @@ def test_ring_scenario_defaults():
     assert scenario.n_sub == 45
     assert scenario.solver.dt == 1e-3
     assert scenario.necrosis_level == 0.0
-    assert scenario.vasculature_ic.level == 0.5
+    assert scenario.vasculature_ic.base_level == 0.5
+    assert scenario.vasculature_ic.zones == ()
 
 
 def test_ring_scenario_override():
@@ -125,13 +125,13 @@ def test_tumor_ic_rejects_outside_center():
 
 def test_uniform_vasculature_levels():
     mesh = build_mesh((-9, 9, -9, 9), 9)
-    assert np.all(ic_vasculature_uniform(mesh, 0.5) == 0.5)
-    assert np.all(ic_vasculature_uniform(mesh, 0.0) == 0.0)
-    assert lumped_integral(mesh, ic_vasculature_uniform(mesh, 0.5)) == pytest.approx(
+    assert np.all(ic_vasculature_zones(mesh, 0.5, ()) == 0.5)
+    assert np.all(ic_vasculature_zones(mesh, 0.0, ()) == 0.0)
+    assert lumped_integral(mesh, ic_vasculature_zones(mesh, 0.5, ())) == pytest.approx(
         0.5 * 324.0, abs=1e-12
     )
     with pytest.raises(InvalidParameterError):
-        ic_vasculature_uniform(mesh, 1.5)
+        ic_vasculature_zones(mesh, 1.5, ())
 
 
 def test_zoned_vasculature_empty_list_is_uniform():

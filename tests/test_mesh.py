@@ -9,6 +9,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gbmsim import (
     MeshError,
@@ -183,11 +184,18 @@ def test_stiffness_stores_only_the_five_point_stencil(diagonal):
     n = 45
     mesh = build_mesh((-9, 9, -9, 9), n, diagonal=diagonal)
     rng = np.random.default_rng(45)
-    matrix = assemble_stiffness(mesh, 1.0 + rng.random(mesh.num_vertices))
+    diffusivity = 1.0 + rng.random(mesh.num_vertices)
+    matrix = assemble_stiffness(mesh, diffusivity)
     # every vertex plus both directions of every axis-aligned edge
     assert matrix.nnz == (n + 1) ** 2 + 4 * n * (n + 1) == 10396
     assert np.all(matrix.data != 0.0)
     assert matrix.has_sorted_indices
+    # a diagonal shift lands on the stored diagonal and nowhere else
+    shift = rng.random(mesh.num_vertices)
+    shifted = assemble_stiffness(mesh, diffusivity, shift)
+    assert shifted.nnz == matrix.nnz
+    assert shifted.has_sorted_indices
+    assert (shifted != matrix + sparse.diags(shift)).nnz == 0
 
 
 def test_stiffness_rejects_wrong_length():
