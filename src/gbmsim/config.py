@@ -11,7 +11,6 @@ README.md lists every key and its default; an empty file gives the ring preset.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -30,7 +29,7 @@ from .experiments import (
     ZoneSpec,
 )
 from .kinetics import DimensionlessParameters, FieldTriple
-from .metrics import DEFAULT_THRESHOLD
+from .metrics import DEFAULT_THRESHOLD, check_threshold
 from .solver import SolverConfig
 
 __all__ = ["RunConfig", "parse_config"]
@@ -165,10 +164,7 @@ def _resolve(found: dict) -> RunConfig:
     config = RunConfig(**kwargs)
     if config.n_sub < 1:
         raise InvalidParameterError("n_sub must be >= 1")
-    if not config.theta > 0.0:
-        raise InvalidParameterError("theta must be positive")
-    if not math.isfinite(config.theta):
-        raise InvalidParameterError(f"theta must be finite, got {config.theta!r}")
+    check_threshold(config.theta)
     config.to_scenario()
     return config
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check."""
+
+import math
 
 
 class SimulationError(Exception):
@@ -11,6 +13,12 @@ class InvalidParameterError(SimulationError, ValueError):
 
 class MeshError(SimulationError, ValueError):
     """Mesh construction or mesh/field compatibility failure."""
+
+
+def check_finite(name, value, error=InvalidParameterError):
+    """Raise ``error("<name> must be finite, got <value>")`` unless it is."""
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value!r}")
 
 
 class SolverFailure(SimulationError, RuntimeError):

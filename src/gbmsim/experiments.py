@@ -15,7 +15,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_finite
 from .kinetics import DimensionlessParameters
 from .mesh import StructuredTriMesh, build_mesh
 from .metrics import DEFAULT_THRESHOLD
@@ -73,10 +73,7 @@ class BumpSpec:
     def __post_init__(self):
         if not self.radius > 0.0:
             raise InvalidParameterError(f"bump radius must be positive, got {self.radius!r}")
-        if not math.isfinite(self.radius):
-            raise InvalidParameterError(
-                f"bump radius must be finite, got {self.radius!r}"
-            )
+        check_finite("bump radius", self.radius)
         if not 0.0 < self.peak <= 1.0:
             raise InvalidParameterError(f"bump peak must lie in (0, 1], got {self.peak!r}")
 
@@ -186,11 +183,8 @@ class Scenario:
 
 
 def ic_tumor_bump(mesh: StructuredTriMesh, center, radius: float, peak: float):
-    """Compactly supported Gaussian bump evaluated at the mesh vertices."""
-    if not 0.0 < peak <= 1.0:
-        raise InvalidParameterError(f"peak must lie in (0, 1], got {peak!r}")
-    if not radius > 0.0:
-        raise InvalidParameterError(f"radius must be positive, got {radius!r}")
+    """Compactly supported Gaussian bump at the vertices, checked as a BumpSpec."""
+    BumpSpec(center, radius, peak)
     cx, cy = center
     if not (mesh.xmin <= cx <= mesh.xmax and mesh.ymin <= cy <= mesh.ymax):
         raise InvalidParameterError(f"center {center!r} lies outside the domain")

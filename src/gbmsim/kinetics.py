@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_finite
 
 __all__ = [
     "DimensionalParameters",
@@ -63,8 +63,7 @@ class DimensionalParameters:
                 raise InvalidParameterError(
                     f"{name} must be strictly positive, got {value!r}"
                 )
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+            check_finite(name, value)
 
 
 _DIMENSIONLESS_FIELDS = ("kappa1", "alpha", "beta1", "beta2", "gamma", "delta")
@@ -93,8 +92,7 @@ class DimensionlessParameters:
                 raise InvalidParameterError(
                     f"{name} must be nonnegative, got {value!r}"
                 )
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+            check_finite(name, value)
 
 
 @dataclass(frozen=True)

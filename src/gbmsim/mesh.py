@@ -2,10 +2,10 @@
 
 The mesh splits every grid cell along the same diagonal, which keeps all
 triangles right (nonobtuse) and makes the stiffness matrix an M-matrix for
-constant diffusivity.  The diagonal coupling of a right triangle vanishes,
-so the stiffness matrix is a variable-coefficient 5-point stencil: its edge
-conductances are sliced from the diffusivity on the vertex grid and written
-into a fixed CSR layout computed once per grid size.
+constant diffusivity.  Both operators are slices of the (n_sub + 1)^2 vertex
+grid: the lumped weights add a third of each cell's area to its corners, and
+the 5-point stiffness stencil (the diagonal coupling of a right triangle
+vanishes) is three grid planes gathered into a CSR layout fixed per grid size.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import MeshError
+from .errors import MeshError, check_finite
 
 __all__ = [
     "StructuredTriMesh",
@@ -97,35 +97,24 @@ def build_mesh(bounds, n_sub: int, diagonal: str = "main") -> StructuredTriMesh:
     checked = {"xmin": xmin, "xmax": xmax, "ymin": ymin, "ymax": ymax,
                "xmax - xmin": xmax - xmin, "ymax - ymin": ymax - ymin}
     for name, value in checked.items():
-        if not np.isfinite(value):
-            raise MeshError(f"{name} must be finite, got {value!r}")
+        check_finite(name, value, MeshError)
     if not (xmax > xmin and ymax > ymin):
         raise MeshError(f"degenerate bounds {bounds!r}")
     if diagonal not in ("main", "anti"):
         raise MeshError(f"diagonal must be 'main' or 'anti', got {diagonal!r}")
 
-    xs = _grid_coordinates(xmin, xmax, n_sub)
-    ys = _grid_coordinates(ymin, ymax, n_sub)
-    gx, gy = np.meshgrid(xs, ys)
-    vertices = np.column_stack([gx.ravel(), gy.ravel()])
-
-    n = n_sub
-    ix, iy = np.meshgrid(np.arange(n), np.arange(n))
-    ix = ix.ravel()
-    iy = iy.ravel()
-    v00 = iy * (n + 1) + ix
-    v10 = v00 + 1
-    v01 = v00 + (n + 1)
-    v11 = v01 + 1
+    n, m = n_sub, n_sub + 1
+    vertices = np.empty((m, m, 2))
+    vertices[..., 0] = _grid_coordinates(xmin, xmax, n)
+    vertices[..., 1] = _grid_coordinates(ymin, ymax, n)[:, None]
+    # Two triangles per cell, cells in row-major order, lower triangle first.
+    grid = np.arange(m * m, dtype=np.int64).reshape(m, m)
+    v00, v10, v01, v11 = grid[:-1, :-1], grid[:-1, 1:], grid[1:, :-1], grid[1:, 1:]
     if diagonal == "main":
-        lower = np.column_stack([v00, v10, v11])
-        upper = np.column_stack([v00, v11, v01])
+        corners = (v00, v10, v11, v00, v11, v01)
     else:
-        lower = np.column_stack([v00, v10, v01])
-        upper = np.column_stack([v10, v11, v01])
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
+        corners = (v00, v10, v01, v10, v11, v01)
+    triangles = np.stack(corners, axis=-1).reshape(2 * n * n, 3)
 
     mesh = StructuredTriMesh(
         xmin=xmin,
@@ -133,7 +122,7 @@ def build_mesh(bounds, n_sub: int, diagonal: str = "main") -> StructuredTriMesh:
         ymin=ymin,
         ymax=ymax,
         n_sub=n_sub,
-        vertices=vertices,
+        vertices=vertices.reshape(m * m, 2),
         triangles=triangles,
         lumped_weights=np.empty(0),
         diagonal=diagonal,
@@ -145,18 +134,28 @@ def build_mesh(bounds, n_sub: int, diagonal: str = "main") -> StructuredTriMesh:
 def lumped_mass(mesh: StructuredTriMesh) -> np.ndarray:
     """Per-vertex lumped mass weights: one third of the adjacent triangle areas.
 
-    Strictly positive; sums to the domain area.
+    Strictly positive; sums to the domain area.  Both triangles of a cell
+    have the cell's area, since one cross term of their edges is exactly 0.
     """
-    p = mesh.vertices[mesh.triangles]
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    if np.any(areas <= 0.0):
-        raise MeshError("mesh contains a nonpositively oriented triangle")
-    contrib = np.repeat(areas / 3.0, 3)
-    return np.bincount(
-        mesh.triangles.ravel(), weights=contrib, minlength=mesh.num_vertices
-    )
+    m = mesh.n_sub + 1
+    xs, ys = mesh.vertices[:m, 0], mesh.vertices[::m, 1]
+    with np.errstate(over="ignore"):
+        third = 0.5 * np.multiply.outer(np.diff(ys), np.diff(xs)) / 3.0
+    if not (third.min() > 0.0 and np.isfinite(third.max())):
+        raise MeshError(
+            f"cell area of spans {mesh.xmax - mesh.xmin!r} x {mesh.ymax - mesh.ymin!r}"
+            f" at n_sub={mesh.n_sub} is not positive and finite"
+        )
+    # Thirds in the order a per-triangle sum adds them (cells row-major,
+    # lower triangle first): corners v11, v01, v10, v00, once per triangle.
+    lo, hi = slice(None, -1), slice(1, None)
+    corners = [(hi, hi), (hi, lo), (lo, hi), (lo, lo)]
+    counts = (2, 1, 1, 2) if mesh.diagonal == "main" else (1, 2, 2, 1)
+    weights = np.zeros((m, m))
+    for corner, count in zip(corners, counts):
+        for _ in range(count):
+            weights[corner] += third
+    return weights.ravel()
 
 
 @functools.lru_cache(maxsize=None)
@@ -166,7 +165,8 @@ def _stencil_layout(n_sub: int):
     Returns read-only ``(gather, indices, indptr)``.  Row r of the matrix
     stores its south, west, centre, east and north entries, in that
     (column-sorted) order, skipping neighbours outside the grid; ``gather``
-    picks those entries out of a flattened (5, n_sub + 1, n_sub + 1) stencil.
+    picks them out of the flattened (3, n_sub + 1, n_sub + 1) south, west and
+    centre planes, reading east (north) as the next (upper) vertex's west (south).
     """
     m = n_sub + 1
     present = np.ones((m, m, 5), dtype=bool)
@@ -175,7 +175,7 @@ def _stencil_layout(n_sub: int):
     present[:, -1, 3] = False
     present[-1, :, 4] = False
     row, position = np.nonzero(present.reshape(m * m, 5))
-    gather = position * (m * m) + row
+    gather = row + np.array([0, m * m, 2 * m * m, m * m + 1, m])[position]
     indices = (row + np.array([-m, -1, 0, 1, m])[position]).astype(np.int32)
     indptr = np.zeros(m * m + 1, dtype=np.int32)
     np.cumsum(present.sum(axis=2).ravel(), out=indptr[1:])
@@ -225,25 +225,26 @@ def assemble_stiffness(
 
     hx = (mesh.xmax - mesh.xmin) / n
     hy = (mesh.ymax - mesh.ymin) / n
-    # Planes: south, west, centre, east, north.  A west (south) entry is
-    # minus the conductance of the horizontal (vertical) edge to that
-    # neighbour; the east (north) plane holds the same edges seen from
-    # their other end.
-    stencil = np.zeros((5, m, m))
-    south, west = stencil[0, 1:], stencil[1, :, 1:]
-    west[:-1] -= hy / (6.0 * hx) * lower
-    west[1:] -= hy / (6.0 * hx) * upper
-    south[:, :-1] -= hx / (6.0 * hy) * left
-    south[:, 1:] -= hx / (6.0 * hy) * right
-    stencil[3, :, :-1] = west
-    stencil[4, :-1] = south
-    stencil[2] = -stencil.sum(axis=0)
+    # Planes: south, west, centre.  A west (south) entry is minus the
+    # conductance of the horizontal (vertical) edge to that neighbour; the
+    # first column (row) has no such neighbour and stays 0.
+    planes = np.zeros((3, m, m))
+    south, west, centre = planes
+    west[:-1, 1:] -= hy / (6.0 * hx) * lower
+    west[1:, 1:] -= hy / (6.0 * hx) * upper
+    south[1:, :-1] -= hx / (6.0 * hy) * left
+    south[1:, 1:] -= hx / (6.0 * hy) * right
+    # centre = -(south + west + east + north), in that order.
+    np.add(south, west, out=centre)
+    centre[:, :-1] += west[:, 1:]
+    centre[:-1] += south[1:]
+    np.negative(centre, out=centre)
     if shift is not None:
-        stencil[2] += np.reshape(shift, (m, m))
+        centre += np.reshape(shift, (m, m))
 
     gather, indices, indptr = _stencil_layout(n)
     return sparse.csr_matrix(
-        (stencil.ravel().take(gather), indices, indptr),
+        (planes.ravel().take(gather), indices, indptr),
         shape=(mesh.num_vertices, mesh.num_vertices),
     )
 

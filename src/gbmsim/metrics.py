@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyRegionError, InvalidParameterError
+from .errors import EmptyRegionError, InvalidParameterError, check_finite
 from .mesh import StructuredTriMesh, lumped_integral
 
 __all__ = [
     "DEFAULT_THRESHOLD",
+    "check_threshold",
     "MetricsSample",
     "ThresholdedRegion",
     "ring_quotient",
@@ -38,6 +39,14 @@ __all__ = [
 ]
 
 DEFAULT_THRESHOLD = 0.001
+
+
+def check_threshold(theta: float) -> None:
+    """Reject a region threshold that is not positive and finite."""
+    if not theta > 0.0:
+        raise InvalidParameterError("theta must be positive")
+    check_finite("theta", theta)
+
 
 # Seed for the shuffle inside the enclosing-circle search; fixed so repeated
 # runs perform identical arithmetic.

@@ -29,10 +29,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidParameterError, SolverFailure
+from .errors import InvalidParameterError, SolverFailure, check_finite
 from .kinetics import DimensionlessParameters, FieldTriple, vascular_fraction
 from .mesh import StructuredTriMesh, assemble_stiffness
-from .metrics import DEFAULT_THRESHOLD, MetricsSample, compute_sample
+from .metrics import DEFAULT_THRESHOLD, MetricsSample, check_threshold, compute_sample
 
 __all__ = [
     "SolverConfig",
@@ -85,11 +85,7 @@ class SolverConfig:
         if self.snapshot_every < 1 or self.metrics_every < 1:
             raise InvalidParameterError("cadences must be >= 1")
         for item in fields(self):
-            value = getattr(self, item.name)
-            if not math.isfinite(value):
-                raise InvalidParameterError(
-                    f"{item.name} must be finite, got {value!r}"
-                )
+            check_finite(item.name, getattr(self, item.name))
 
 
 @dataclass
@@ -351,6 +347,7 @@ def run(scenario, config: SolverConfig | None = None,
     matrix.  While the fields move smoothly the solution lies close to their
     span, so CG needs fewer iterations to the same tolerance.
     """
+    check_threshold(theta)
     if config is None:
         config = scenario.solver
     mesh = scenario.build_mesh()
@@ -412,10 +409,7 @@ def run_homogeneous(
     SolverConfig(dt=dt, t_final=t_final)
     start = {f.name: float(getattr(initial, f.name)) for f in fields(initial)}
     for name, value in start.items():
-        if not math.isfinite(value):
-            raise InvalidParameterError(
-                f"initial {name} must be finite, got {value!r}"
-            )
+        check_finite(f"initial {name}", value)
     t, n, phi = start.values()
     n_steps = int(round(t_final / dt))
     times = dt * np.arange(n_steps + 1)

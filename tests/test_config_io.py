@@ -1,5 +1,6 @@
 """Config parsing, CSV/VTK writers, and the CLI surface."""
 
+import dataclasses
 import math
 import os
 import re
@@ -187,6 +188,28 @@ def test_non_finite_rate_rejected(key):
         parse_config(f"[params]\nbeta1 = 5\n{key} = inf\n")
     assert info.value.line == 3
     assert str(info.value) == f"line 3: {key} must be finite, got inf"
+
+
+def _bump_with_infinite_radius():
+    gbmsim.ic_tumor_bump(build_mesh((-9, 9, -9, 9), 4), (0.0, 0.0), math.inf, 0.5)
+
+
+def _run_with_infinite_theta():
+    scenario = scenario_ring_width()
+    config = gbmsim.SolverConfig(t_final=0.002)
+    gbmsim.run(dataclasses.replace(scenario, n_sub=4), config, theta=math.inf)
+
+
+@pytest.mark.parametrize("text, call", [
+    ("[ic]\ntumor_radius=inf\n", _bump_with_infinite_radius),
+    ("[output]\ntheta=inf\n", _run_with_infinite_theta),
+])
+def test_api_rejects_non_finite_values_like_the_config(text, call):
+    with pytest.raises(ConfigError) as config_info:
+        parse_config(text)
+    with pytest.raises(InvalidParameterError) as api_info:
+        call()
+    assert str(config_info.value) == f"line 2: {api_info.value}"
 
 
 def test_readme_config_block_resolves_to_the_defaults():

@@ -5,7 +5,9 @@ gradients come from solving the three plane equations per triangle instead of
 the analytic edge formulas used by the package.
 """
 
+import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +85,23 @@ def test_non_finite_bounds_and_spans_rejected(bounds, name):
         build_mesh(bounds, 4)
 
 
+@pytest.mark.parametrize(
+    "bounds, spans",
+    [
+        ((-1e200, 1e200, -1e200, 1e200), "2e+200 x 2e+200"),
+        ((0, 1e-170, 0, 1e-170), "1e-170 x 1e-170"),
+    ],
+)
+def test_cell_area_overflow_and_underflow_rejected(bounds, spans):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshError) as info:
+            build_mesh(bounds, 45)
+    assert str(info.value) == (
+        f"cell area of spans {spans} at n_sub=45 is not positive and finite"
+    )
+
+
 def test_triangle_orientation_positive():
     for diagonal in ("main", "anti"):
         mesh = build_mesh((-2, 3, -1, 4), 7, diagonal=diagonal)
@@ -91,6 +110,26 @@ def test_triangle_orientation_positive():
             p[:, 1, 1] - p[:, 0, 1]
         ) * (p[:, 2, 0] - p[:, 0, 0])
         assert np.all(cross > 0)
+
+
+def triangle_lumped_mass(mesh):
+    """Per-triangle signed areas, one third to each corner by bincount."""
+    p = mesh.vertices[mesh.triangles]
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    contrib = np.repeat(areas / 3.0, 3)
+    return np.bincount(
+        mesh.triangles.ravel(), weights=contrib, minlength=mesh.num_vertices
+    )
+
+
+@pytest.mark.parametrize("diagonal", ["main", "anti"])
+@pytest.mark.parametrize("n_sub", [1, 2, 7, 45])
+@pytest.mark.parametrize("bounds", [(-3.3, 7.1, 0.2, 9.9), (-9, 9, -9, 9)])
+def test_lumped_mass_bit_equal_to_triangle_accumulation(bounds, n_sub, diagonal):
+    mesh = build_mesh(bounds, n_sub, diagonal=diagonal)
+    assert np.array_equal(lumped_mass(mesh), triangle_lumped_mass(mesh))
 
 
 def test_unit_square_corner_weights():
@@ -196,6 +235,32 @@ def test_stiffness_stores_only_the_five_point_stencil(diagonal):
     assert shifted.nnz == matrix.nnz
     assert shifted.has_sorted_indices
     assert (shifted != matrix + sparse.diags(shift)).nnz == 0
+
+
+def _sha1(array):
+    return hashlib.sha1(np.ascontiguousarray(array, dtype="<f8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "diagonal, weights, plain, shifted",
+    [
+        ("main", "d14723c92cdb9a0957acd19890860b751e953df0",
+         "216e2f5ddec965c62645aff540694c30538df895",
+         "e7e4d0029e8c690f50b310b7bf3de8af4570f489"),
+        ("anti", "6124d958e4f8e5f133265b838613fbf0d249a72b",
+         "8688c4a620a1b250998dd7946bb0df731ff0fd06",
+         "635046ff6e10ea9edd67161e43fa80a9b7861299"),
+    ],
+)
+def test_weights_and_stiffness_bits_pinned(diagonal, weights, plain, shifted):
+    # Bits of the triangle-gather assembly; a faster operator must keep them.
+    mesh = build_mesh((-9.0, 9.0, -9.0, 9.0), 20, diagonal=diagonal)
+    rng = np.random.default_rng(20)
+    diffusivity = 1.0 + 5.0 * rng.random(mesh.num_vertices)
+    shift = rng.random(mesh.num_vertices)
+    assert _sha1(mesh.lumped_weights) == weights
+    assert _sha1(assemble_stiffness(mesh, diffusivity).toarray()) == plain
+    assert _sha1(assemble_stiffness(mesh, diffusivity, shift).toarray()) == shifted
 
 
 def test_stiffness_rejects_wrong_length():
