@@ -89,6 +89,9 @@ class ZoneSpec:
     def __post_init__(self):
         if not self.radius > 0.0:
             raise InvalidParameterError(f"zone radius must be positive, got {self.radius!r}")
+        check_finite("zone radius", self.radius)
+        for value in self.center:
+            check_finite("zone center", value)
         if not 0.0 <= self.level <= 1.0:
             raise InvalidParameterError(f"zone level must lie in [0, 1], got {self.level!r}")
 
@@ -203,13 +206,27 @@ def ic_vasculature_zones(mesh: StructuredTriMesh, base_level: float, zones):
         raise InvalidParameterError(
             f"vasculature level must lie in [0, 1], got {base_level!r}"
         )
-    field = np.full(mesh.num_vertices, float(base_level))
+    m = mesh.n_sub + 1
+    field = np.full((m, m), float(base_level))
+    grid = mesh.vertices.reshape(m, m, 2)
     for zone in zones:
-        dx = mesh.vertices[:, 0] - zone.center[0]
-        dy = mesh.vertices[:, 1] - zone.center[1]
-        inside = dx * dx + dy * dy <= zone.radius * zone.radius
-        field[inside] = zone.level
-    return field
+        (cx, cy), r = zone.center, zone.radius
+        # Only the grid rows and columns of the disc's bounding box can hold a
+        # vertex inside it.
+        rows = _box(cy, r, mesh.ymin, mesh.ymax, m)
+        cols = _box(cx, r, mesh.xmin, mesh.xmax, m)
+        dx = grid[rows, cols, 0] - cx
+        dy = grid[rows, cols, 1] - cy
+        field[rows, cols][dx * dx + dy * dy <= r * r] = zone.level
+    return field.ravel()
+
+
+def _box(center: float, radius: float, lo: float, hi: float, m: int) -> slice:
+    """Indices of the m grid lines from lo to hi within radius of center,
+    widened by one line against rounding."""
+    h = (hi - lo) / (m - 1)
+    ends = (int((center - radius - lo) / h) - 1, int((center + radius - lo) / h) + 2)
+    return slice(*(min(max(end, 0), m) for end in ends))
 
 
 def scenario_ring_width(

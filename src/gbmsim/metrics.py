@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyRegionError, InvalidParameterError, check_finite
+from .errors import (
+    EmptyRegionError, InvalidParameterError, SimulationError, check_finite
+)
 from .mesh import StructuredTriMesh, lumped_integral
 
 __all__ = [
@@ -186,13 +188,13 @@ def compute_sample(
 
 
 # ---------------------------------------------------------------------------
-# Smallest enclosing circle: randomized incremental construction with exact
-# one/two/three point circles, deterministic because the shuffle seed is
-# fixed.  It runs only on the leftmost and rightmost point of each distinct y:
-# a point strictly between two others on one horizontal line is not a vertex
-# of the convex hull, and the smallest circle enclosing a set is the one
-# enclosing its hull (Welzl 1991).  On a grid region that leaves at most two
-# points per grid row.
+# Smallest enclosing circle.  The smallest circle enclosing a set is the one
+# enclosing its convex hull, so the construction runs in three stages: the
+# leftmost and rightmost point of each distinct y (at most two points per grid
+# row, sorted by y), Andrew's monotone chain over them (IPL 9, 1979), which
+# keeps no collinear vertex, and the three nested loops of Welzl's randomized
+# incremental construction (1991) over the hull vertices in shuffled order.
+# The shuffle seed is fixed, so repeated runs perform identical arithmetic.
 
 
 # Containment uses a 1 + 1e-14 multiplicative slack so candidate circles that
@@ -212,17 +214,19 @@ def _diameter_circle(a, b):
 
 
 def _circumcircle(a, b, c):
-    """Circle through three points, or None when they are collinear."""
-    # Translate toward the origin before solving; keeps the 2x2 system well
-    # scaled for nearly degenerate triangles.
+    """Circle through three points that are not collinear."""
+    # Solve in the triangle's own units, centered on its bounding box and
+    # scaled by a power of two (exact), so no product under- or overflows.
     ox = (min(a[0], b[0], c[0]) + max(a[0], b[0], c[0])) / 2.0
     oy = (min(a[1], b[1], c[1]) + max(a[1], b[1], c[1])) / 2.0
-    ax, ay = a[0] - ox, a[1] - oy
-    bx, by = b[0] - ox, b[1] - oy
-    cx, cy = c[0] - ox, c[1] - oy
+    offsets = (a[0] - ox, a[1] - oy, b[0] - ox, b[1] - oy, c[0] - ox, c[1] - oy)
+    e = math.frexp(max(map(abs, offsets)))[1]
+    ax, ay, bx, by, cx, cy = (math.ldexp(v, -e) for v in offsets)
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
     if d == 0.0:
-        return None
+        # No three hull vertices are collinear, so in exact arithmetic this
+        # branch is unreachable; a circle made up here would be wrong.
+        raise SimulationError(f"circumcircle of collinear points {a}, {b}, {c}")
     ux = (
         (ax * ax + ay * ay) * (by - cy)
         + (bx * bx + by * by) * (cy - ay)
@@ -238,54 +242,11 @@ def _circumcircle(a, b, c):
         math.hypot(ux - bx, uy - by),
         math.hypot(ux - cx, uy - cy),
     )
-    return (ux + ox, uy + oy, r)
+    return (math.ldexp(ux, e) + ox, math.ldexp(uy, e) + oy, math.ldexp(r, e))
 
 
-def _cross(ox, oy, ax, ay, bx, by) -> float:
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
-
-
-def _circle_two_fixed(points, a, b):
-    """Smallest circle through a and b containing points[:len(points)]."""
-    base = _diameter_circle(a, b)
-    left = None
-    right = None
-    for q in points:
-        if _contains(base, q):
-            continue
-        side = _cross(a[0], a[1], b[0], b[1], q[0], q[1])
-        cand = _circumcircle(a, b, q)
-        if cand is None:
-            continue
-        cand_side = _cross(a[0], a[1], b[0], b[1], cand[0], cand[1])
-        if side > 0.0:
-            if left is None or cand_side > _cross(
-                a[0], a[1], b[0], b[1], left[0], left[1]
-            ):
-                left = cand
-        elif side < 0.0:
-            if right is None or cand_side < _cross(
-                a[0], a[1], b[0], b[1], right[0], right[1]
-            ):
-                right = cand
-    if left is None and right is None:
-        return base
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return left if left[2] <= right[2] else right
-
-
-def _circle_one_fixed(points, a):
-    circle = (a[0], a[1], 0.0)
-    for i, q in enumerate(points):
-        if not _contains(circle, q):
-            if circle[2] == 0.0:
-                circle = _diameter_circle(a, q)
-            else:
-                circle = _circle_two_fixed(points[: i + 1], a, q)
-    return circle
+def _cross(o, a, b) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _row_end_points(coordinates) -> np.ndarray:
@@ -298,11 +259,42 @@ def _row_end_points(coordinates) -> np.ndarray:
     return pts[keep]
 
 
+def _hull(points):
+    """Counterclockwise convex hull of points sorted by (y, x), without
+    collinear vertices; a single point is its own hull.  A point may carry
+    further values after its x and y."""
+    chains = []
+    for ordered in (points, points[::-1]):
+        chain = []
+        for p in ordered:
+            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0.0:
+                chain.pop()
+            chain.append(p)
+        chains.append(chain[:-1])
+    return chains[0] + chains[1] or points
+
+
 def _smallest_enclosing_circle(coordinates) -> tuple[float, float, float]:
-    points = _row_end_points(coordinates).tolist()
-    random.Random(_SHUFFLE_SEED).shuffle(points)
+    points = _row_end_points(coordinates)
+    # Find the hull with each axis scaled by a power of two to a largest |value|
+    # in [0.5, 1): exact and hull-preserving, and no cross product of a tiny,
+    # huge or flat region under- or overflows and drops a hull vertex.
+    scaled = np.ldexp(points, -np.frexp(np.abs(points).max(axis=0))[1])
+    hull = _hull(np.column_stack((scaled, np.arange(len(points)))).tolist())
+    on_hull = {int(v[2]) for v in hull}
+    # The hull in the order of a fixed shuffle of all row ends: still a
+    # uniformly random order, as the expected linear time needs.
+    order = list(range(len(points)))
+    random.Random(_SHUFFLE_SEED).shuffle(order)
+    points = points[[k for k in order if k in on_hull]].tolist()
     circle = None
     for i, p in enumerate(points):
         if circle is None or not _contains(circle, p):
-            circle = _circle_one_fixed(points[: i + 1], p)
+            circle = (p[0], p[1], 0.0)
+            for j, q in enumerate(points[:i]):
+                if not _contains(circle, q):
+                    circle = _diameter_circle(p, q)
+                    for s in points[:j]:
+                        if not _contains(circle, s):
+                            circle = _circumcircle(p, q, s)
     return circle

@@ -7,7 +7,10 @@ back recovers the in-memory values exactly.
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from pathlib import Path
+
+import numpy as np
 
 from .errors import InvalidParameterError
 from .mesh import StructuredTriMesh
@@ -23,16 +26,18 @@ __all__ = [
 METRICS_HEADER = "t,rq,sq,area,r_max,int_T,int_TN,int_phi"
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _column(values) -> list[str]:
+    """The text of each value, as the repr of a Python float."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
 def _write_lines(path, lines) -> None:
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _write_csv(path, header: str, rows) -> None:
-    _write_lines(path, [header, *(",".join(map(_fmt, row)) for row in rows)])
+def _write_csv(path, header: str, columns) -> None:
+    """Write columns of text, formatted by ``_column``, under a header."""
+    _write_lines(path, [header, *map(",".join, zip(*columns, strict=True))])
 
 
 def write_metrics_csv(series, path) -> None:
@@ -53,23 +58,8 @@ def write_metrics_csv(series, path) -> None:
             raise InvalidParameterError(
                 f"negative area {sample.area!r} at t={sample.time!r}"
             )
-    _write_csv(
-        path,
-        METRICS_HEADER,
-        (
-            (
-                sample.time,
-                sample.rq,
-                sample.sq,
-                sample.area,
-                sample.r_max,
-                sample.tumor_density,
-                sample.total_tn_density,
-                sample.phi_density,
-            )
-            for sample in series
-        ),
-    )
+    # MetricsSample's fields, in order, are the METRICS_HEADER columns.
+    _write_csv(path, METRICS_HEADER, map(_column, zip(*map(astuple, series))))
 
 
 def write_trajectory_csv(trajectory, stride: int, path) -> None:
@@ -82,7 +72,7 @@ def write_trajectory_csv(trajectory, stride: int, path) -> None:
         trajectory.n_density,
         trajectory.phi_density,
     )
-    _write_csv(path, "t,T,N,Phi", zip(*(column[kept] for column in columns)))
+    _write_csv(path, "t,T,N,Phi", [_column(column[kept]) for column in columns])
 
 
 def write_snapshot(
@@ -98,9 +88,9 @@ def write_snapshot(
     (T, N, Phi) is written next to it.
     """
     path = Path(path)
-    # Each column is formatted once, as Python floats, for both files.
+    # Each column is formatted once for both files.
     columns = [
-        list(map(repr, values.astype(float, copy=False).tolist()))
+        _column(values)
         for values in (
             mesh.vertices[:, 0],
             mesh.vertices[:, 1],
@@ -109,7 +99,7 @@ def write_snapshot(
             state.phi_field,
         )
     ]
-    _write_lines(path, ["x,y,T,N,Phi", *map(",".join, zip(*columns, strict=True))])
+    _write_csv(path, "x,y,T,N,Phi", columns)
     if vtk:
         _write_legacy_vtk(state.time, mesh, columns, path.with_suffix(".vtk"))
 
@@ -120,7 +110,7 @@ def _write_legacy_vtk(time, mesh, columns, path) -> None:
     nt = mesh.num_triangles
     parts = [
         "# vtk DataFile Version 3.0",
-        f"gbmsim fields at t={_fmt(time)}",
+        f"gbmsim fields at t={_column([time])[0]}",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {nv} double",

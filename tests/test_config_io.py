@@ -136,6 +136,8 @@ SURFACE = "[ic]\nscenario=surface\n"
      "zone needs 'cx, cy, radius, level', got '1, 2, 3'"),
     (SURFACE + "zone1=0, x, 1, 0.5\n", 3, "expected a number, got 'x'"),
     (SURFACE + "zone1=0, 0, -1, 0.5\n", 3, "zone radius must be positive, got -1.0"),
+    (SURFACE + "zone1=0, 0, inf, 0.5\n", 3, "zone radius must be finite, got inf"),
+    (SURFACE + "zone1=nan, 0, 1, 0.5\n", 3, "zone center must be finite, got nan"),
     (SURFACE + "zone1=0, 0, 1, 0.5\nzone01=0, 0, 1, 0.5\n", 4,
      "duplicate key 'zone1'"),
     ("[ic]\nzone1=0, 0, 2, 0.5\n", 2, "zone keys require scenario=surface"),
@@ -288,6 +290,20 @@ def test_metrics_csv_layout(tmp_path):
     assert len(lines) == 3 and lines[2] == b""
     row = lines[1].decode().split(",")
     assert row[1] == "1.0"
+
+
+def test_metrics_csv_columns_follow_the_header(tmp_path):
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv([MetricsSample(1.0, 0.25, 0.5, 3.0, 4.0, 5.0, 6.0, 7.0)], path)
+    header, row = path.read_text().splitlines()
+    assert row.split(",") == ["1.0", "0.25", "0.5", "3.0", "4.0", "5.0", "6.0", "7.0"]
+    assert header.split(",") == [
+        "t", "rq", "sq", "area", "r_max", "int_T", "int_TN", "int_phi"
+    ]
+    assert [f.name for f in dataclasses.fields(MetricsSample)] == [
+        "time", "rq", "sq", "area", "r_max",
+        "tumor_density", "total_tn_density", "phi_density",
+    ]
 
 
 def test_metrics_csv_round_trip(tmp_path):

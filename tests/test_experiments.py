@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbmsim import (
     InvalidParameterError,
@@ -22,7 +24,7 @@ from gbmsim import (
     tumor_area,
 )
 from gbmsim import SimulationState
-from gbmsim.experiments import sweep_runs
+from gbmsim.experiments import DEFAULT_ZONES, sweep_runs
 
 PRESET_TABLE = {
     "kappa1": 55.0,
@@ -164,6 +166,102 @@ def test_zoned_vasculature_overlap_precedence():
     field = ic_vasculature_zones(mesh, 0.3, zones)
     idx = mesh.vertex_index(11, 10)  # (0.9, 0) lies in both discs
     assert field[idx] == 0.1
+
+
+def full_field_zones(mesh, base_level, zones):
+    """Every zone tests every vertex: the oracle for the bounding-box loop."""
+    field = np.full(mesh.num_vertices, float(base_level))
+    for zone in zones:
+        dx = mesh.vertices[:, 0] - zone.center[0]
+        dy = mesh.vertices[:, 1] - zone.center[1]
+        field[dx * dx + dy * dy <= zone.radius * zone.radius] = zone.level
+    return field
+
+
+def edge_zones(bounds, cell):
+    """Discs centered on the corners, the edge midpoints and points beyond
+    the edges, with radii from a fraction of a cell to more than the domain."""
+    xmin, xmax, ymin, ymax = bounds
+    xs = (xmin - 2 * cell, xmin, (xmin + xmax) / 2, xmax, xmax + 0.5 * cell)
+    ys = (ymin - 0.5 * cell, ymin, (ymin + ymax) / 2, ymax, ymax + 2 * cell)
+    span = max(xmax - xmin, ymax - ymin)
+    radii = (0.3 * cell, cell, 2.5 * cell, span / 3, 2 * span)
+    return [
+        ZoneSpec(center=(x, y), radius=r, level=(k % 10) / 10)
+        for k, (x, y, r) in enumerate(
+            (x, y, r) for x in xs for y in ys for r in radii
+        )
+    ]
+
+
+def vertex_zones(mesh):
+    """Discs centered on a vertex that pass exactly through the vertex k cells
+    away along its grid row or column."""
+    m = mesh.n_sub + 1
+    grid = mesh.vertices.reshape(m, m, 2)
+    zones = []
+    for i in range(0, m, max(1, m // 7)):
+        j = (3 * i) % m
+        for k in {1, 2, 3, 5, 8, 13, m // 2, m - 1}:
+            for di, dj in ((k, 0), (-k, 0), (0, k), (0, -k)):
+                if 0 <= i + di < m and 0 <= j + dj < m:
+                    center = grid[j, i]
+                    radius = float(np.abs(grid[j + dj, i + di] - center).max())
+                    zones.append(ZoneSpec(tuple(center), radius, level=0.9))
+    return zones
+
+
+@pytest.mark.parametrize("diagonal", ["main", "anti"])
+@pytest.mark.parametrize("bounds, n_sub", [
+    ((-9.0, 9.0, -9.0, 9.0), 45),
+    ((-9.0, 9.0, -9.0, 9.0), 180),
+    ((-3.0, 7.5, 1.0, 2.2), 17),
+    ((0.1, 0.4, -50.0, 20.0), 9),
+    ((-1.0, 1.0, -1.0, 1.0), 1),
+])
+def test_zone_boxes_match_the_full_field(bounds, n_sub, diagonal):
+    mesh = build_mesh(bounds, n_sub, diagonal)
+    cell = max(bounds[1] - bounds[0], bounds[3] - bounds[2]) / n_sub
+    single = [[zone] for zone in vertex_zones(mesh)]
+    for zones in (DEFAULT_ZONES, edge_zones(bounds, cell), *single):
+        expected = full_field_zones(mesh, 0.4, zones)
+        np.testing.assert_array_equal(ic_vasculature_zones(mesh, 0.4, zones), expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x0=st.floats(-50, 50), y0=st.floats(-50, 50),
+    width=st.floats(0.01, 40), height=st.floats(0.01, 40),
+    n_sub=st.integers(1, 40), diagonal=st.sampled_from(["main", "anti"]),
+    discs=st.lists(
+        st.tuples(st.floats(-1.5, 2.5), st.floats(-1.5, 2.5), st.floats(1e-3, 2.0)),
+        min_size=1, max_size=4,
+    ),
+)
+def test_zone_boxes_match_the_full_field_on_random_discs(
+    x0, y0, width, height, n_sub, diagonal, discs
+):
+    """Disc centers and radii are drawn relative to the domain, so discs lie
+    inside, across the edges and wholly beyond them."""
+    mesh = build_mesh((x0, x0 + width, y0, y0 + height), n_sub, diagonal)
+    span = max(width, height)
+    zones = [
+        ZoneSpec(center=(x0 + u * width, y0 + v * height), radius=r * span, level=0.7)
+        for u, v, r in discs
+    ]
+    np.testing.assert_array_equal(
+        ic_vasculature_zones(mesh, 0.1, zones), full_field_zones(mesh, 0.1, zones)
+    )
+
+
+@pytest.mark.parametrize("center, radius, message", [
+    ((0.0, 0.0), float("inf"), "zone radius must be finite, got inf"),
+    ((float("nan"), 0.0), 1.0, "zone center must be finite, got nan"),
+    ((0.0, -float("inf")), 1.0, "zone center must be finite, got -inf"),
+])
+def test_zone_rejects_non_finite_center_and_radius(center, radius, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        ZoneSpec(center=center, radius=radius, level=0.5)
 
 
 def test_zone_outside_domain_rejected():

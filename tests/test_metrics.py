@@ -16,6 +16,7 @@ from scipy.spatial import ConvexHull
 from gbmsim import (
     EmptyRegionError,
     InvalidParameterError,
+    SimulationError,
     SimulationState,
     ThresholdedRegion,
     build_mesh,
@@ -27,7 +28,7 @@ from gbmsim import (
     total_density,
     tumor_area,
 )
-from gbmsim.metrics import _row_end_points
+from gbmsim.metrics import _circumcircle, _hull, _row_end_points
 
 
 def state_on(mesh, t=0.0, n=0.0, phi=0.0):
@@ -223,6 +224,57 @@ def test_max_radius_collinear_points():
     assert max_radius(region_of(pts)) == pytest.approx(3.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("pts", [
+    [(0.0, 0.0), (1.0, 1e-300), (2.0, 0.0), (1.0, -1e-300)],
+    [(0.0, 0.0), (1.0, 1e-320), (2.0, 0.0)],
+    [(1.0, 1.0), (1.0, 1.0), (3.0, 1.0), (3.0, 1.0), (2.0, 4.0), (2.0, 4.0)],
+    [(0.5, -2.0)] * 5,
+    [(0.5, -2.0)],
+    [(x, 0.25) for x in (3.0, -1.0, 0.5, 2.0, -1.0)],
+    [(-1.0, -1.0), (1.0, 1.0), (0.0, 0.0), (0.5, 0.5), (-1.0, -1.0)],
+])
+def test_max_radius_nearly_collinear_and_repeated_points(pts):
+    assert max_radius(region_of(pts)) == pytest.approx(
+        brute_force_radius(pts), abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("pts, radius", [
+    # Cross products of these vertices underflow at the input's scale.
+    ([(0.0, 0.0), (1e-170, 1e-170), (2e-170, 0.0)], 1e-170),
+    ([(0.0, 0.0), (1e-10, 1e-320), (2e-10, 0.0)], 1e-10),
+    ([(-0.25, 5e-324), (0.0, 0.0), (1e-4, 0.0), (0.0, 1e-310)], 0.12505),
+    # ... or overflow.
+    ([(0.0, 0.0), (1e300, 1e300), (2e300, 0.0)], 1e300),
+    # A tiny acute triangle enclosed before the far point: its circumcircle's
+    # products underflow at the input's scale.
+    ([(1e-200, 0.0), (-1e-200, 0.0), (0.0, 1.5e-200), (0.0, -1.0)], 0.5),
+    ([(-1e-200, 0.0), (1e-200, 0.0), (0.0, -1.5e-200), (0.0, 1.0)], 0.5),
+])
+def test_max_radius_at_extreme_scales(pts, radius):
+    assert max_radius(region_of(pts)) == pytest.approx(radius, rel=1e-12)
+    assert max_radius(region_of(np.asarray(pts)[:, ::-1])) == pytest.approx(
+        radius, rel=1e-12
+    )
+
+
+def test_circumcircle_of_collinear_points_raises():
+    # Unreachable from max_radius: no three hull vertices are collinear.
+    with pytest.raises(SimulationError, match="collinear"):
+        _circumcircle((0.0, 0.0), (1.0, 1.0), (3.0, 3.0))
+
+
+@pytest.mark.parametrize("pts, hull", [
+    ([(2.0, 1.0)], [(2.0, 1.0)]),
+    ([(0.0, 0.0), (1.0, 0.0)], [(0.0, 0.0), (1.0, 0.0)]),
+    ([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], [(0.0, 0.0), (3.0, 0.0)]),
+    ([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0), (0.0, 2.0), (2.0, 2.0)],
+     [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]),
+])
+def test_hull_is_counterclockwise_without_collinear_vertices(pts, hull):
+    assert [tuple(p) for p in _hull(_row_end_points(pts).tolist())] == hull
+
+
 @st.composite
 def grid_regions(draw):
     """A random vertex subset of a small grid with non-square cells, or one
@@ -261,8 +313,18 @@ def test_row_end_filter_keeps_the_circle_and_the_hull(region):
     # Collinearity is decided on the integer grid indices, where it is exact.
     di, dj = ix - ix[0], iy - iy[0]
     if np.any(np.outer(di, dj) != np.outer(dj, di)):
-        hull = ConvexHull(pts)
-        assert {tuple(p) for p in pts[hull.vertices].tolist()} <= kept
+        expected = {tuple(p) for p in pts[ConvexHull(pts).vertices].tolist()}
+        assert expected <= kept
+        # On the grid indices the chain's arithmetic is exact: it keeps
+        # exactly the hull vertices, each once.
+        grid = np.column_stack((ix, iy))
+        hull = _hull(_row_end_points(grid).tolist())
+        assert sorted(map(tuple, hull)) == sorted(
+            map(tuple, grid[ConvexHull(grid).vertices].tolist())
+        )
+        # On the coordinates, rounding may keep a vertex that lies on a hull
+        # edge of the grid, but it drops no hull vertex.
+        assert expected <= {tuple(p) for p in _hull(_row_end_points(pts).tolist())}
 
 
 # --- surface quotient -------------------------------------------------------
