@@ -1,10 +1,11 @@
 """Sectioned key=value run configuration.
 
 The format is deliberately plain: ``[section]`` headers, one ``key = value``
-per line, ``#`` comments.  Unknown sections and unknown keys are hard errors
-(a silently ignored typo is the classic way to invalidate a sweep).  An error
-caused by one line carries that line's number; an error that involves several
-keys, such as the tumor center outside the ``[mesh]`` bounds, carries none.
+per line, ``#`` comments.  Unknown sections, unknown keys and keys of the
+other scenario are hard errors (a silently ignored typo is the classic way to
+invalidate a sweep).  An error caused by one line carries that line's number;
+an error that involves several keys, such as the tumor center outside the
+``[mesh]`` bounds, carries none.
 
 README.md lists every key and its default; an empty file gives the ring preset.
 """
@@ -35,6 +36,8 @@ from .solver import SolverConfig
 __all__ = ["RunConfig", "parse_config"]
 
 _ZONE_KEY = re.compile(r"zone(\d+)$")
+# The base-level keys read by one scenario only; so are the zoneN keys.
+_SCENARIO_OF = {"vasculature_level": "ring", "zone_base_level": "surface"}
 
 
 @dataclass
@@ -219,7 +222,10 @@ def parse_config(text: str) -> RunConfig:
         config = _resolve(found)
     except SimulationError as exc:
         raise ConfigError(str(exc), line=_line_of(found, str(exc))) from None
-    if config.zones is not None and config.scenario != "surface":
-        first = next(item for item in found.values() if isinstance(item[0], ZoneSpec))
-        raise ConfigError("zone keys require scenario=surface", line=first[1])
+    for key, (_, line, _) in found.items():
+        zone = _ZONE_KEY.match(key)
+        owner = "surface" if zone else _SCENARIO_OF.get(key, config.scenario)
+        if owner != config.scenario:
+            subject = "zone keys require" if zone else f"{key} requires"
+            raise ConfigError(f"{subject} scenario={owner}", line=line)
     return config

@@ -10,7 +10,7 @@ the presets support is tested against them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -40,7 +40,7 @@ __all__ = [
     "default_sweep_values",
 ]
 
-PARAMETER_NAMES = ("kappa1", "alpha", "beta1", "beta2", "gamma", "delta")
+PARAMETER_NAMES = tuple(f.name for f in fields(DimensionlessParameters))
 
 # Fixed working point and the admissible sweep range of each rate.
 DEFAULT_PARAMETERS = DimensionlessParameters(
@@ -191,12 +191,12 @@ def ic_tumor_bump(mesh: StructuredTriMesh, center, radius: float, peak: float):
     cx, cy = center
     if not (mesh.xmin <= cx <= mesh.xmax and mesh.ymin <= cy <= mesh.ymax):
         raise InvalidParameterError(f"center {center!r} lies outside the domain")
-    dx = mesh.vertices[:, 0] - cx
-    dy = mesh.vertices[:, 1] - cy
-    dist_sq = dx * dx + dy * dy
+    field = np.zeros((mesh.n_sub + 1,) * 2)
+    box, dist_sq = _disc_box(mesh, center, radius)
+    inside = dist_sq <= radius * radius
     sigma = radius / 3.0
-    values = peak * np.exp(-dist_sq / (2.0 * sigma * sigma))
-    return np.where(dist_sq <= radius * radius, values, 0.0)
+    field[box][inside] = peak * np.exp(-dist_sq[inside] / (2.0 * sigma * sigma))
+    return field.ravel()
 
 
 def ic_vasculature_zones(mesh: StructuredTriMesh, base_level: float, zones):
@@ -206,27 +206,28 @@ def ic_vasculature_zones(mesh: StructuredTriMesh, base_level: float, zones):
         raise InvalidParameterError(
             f"vasculature level must lie in [0, 1], got {base_level!r}"
         )
-    m = mesh.n_sub + 1
-    field = np.full((m, m), float(base_level))
-    grid = mesh.vertices.reshape(m, m, 2)
+    field = np.full((mesh.n_sub + 1,) * 2, float(base_level))
     for zone in zones:
-        (cx, cy), r = zone.center, zone.radius
-        # Only the grid rows and columns of the disc's bounding box can hold a
-        # vertex inside it.
-        rows = _box(cy, r, mesh.ymin, mesh.ymax, m)
-        cols = _box(cx, r, mesh.xmin, mesh.xmax, m)
-        dx = grid[rows, cols, 0] - cx
-        dy = grid[rows, cols, 1] - cy
-        field[rows, cols][dx * dx + dy * dy <= r * r] = zone.level
+        box, dist_sq = _disc_box(mesh, zone.center, zone.radius)
+        field[box][dist_sq <= zone.radius * zone.radius] = zone.level
     return field.ravel()
 
 
-def _box(center: float, radius: float, lo: float, hi: float, m: int) -> slice:
-    """Indices of the m grid lines from lo to hi within radius of center,
-    widened by one line against rounding."""
-    h = (hi - lo) / (m - 1)
-    ends = (int((center - radius - lo) / h) - 1, int((center + radius - lo) / h) + 2)
-    return slice(*(min(max(end, 0), m) for end in ends))
+def _disc_box(mesh: StructuredTriMesh, center, radius: float):
+    """The (rows, cols) slices of the vertex grid within radius of center,
+    widened by one grid line against rounding, and the squared distances of
+    their vertices to center.  No vertex outside the box lies in the disc."""
+    m = mesh.n_sub + 1
+    box = []
+    axes = ((center[1], mesh.ymin, mesh.ymax), (center[0], mesh.xmin, mesh.xmax))
+    for c, lo, hi in axes:
+        h = (hi - lo) / (m - 1)
+        ends = (int((c - radius - lo) / h) - 1, int((c + radius - lo) / h) + 2)
+        box.append(slice(*(min(max(end, 0), m) for end in ends)))
+    rows, cols = box
+    dx = mesh.vertices[:m, 0][cols] - center[0]
+    dy = mesh.vertices[::m, 1][rows, None] - center[1]
+    return (rows, cols), dx * dx + dy * dy
 
 
 def scenario_ring_width(

@@ -10,7 +10,7 @@ so concurrent evaluation is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,10 +28,6 @@ __all__ = [
     "nondimensionalize",
     "rescale_spacetime",
 ]
-
-_DIMENSIONAL_FIELDS = (
-    "kappa1", "kappa0", "rho", "alpha", "beta1", "beta2", "gamma", "delta", "K",
-)
 
 
 @dataclass(frozen=True)
@@ -57,16 +53,13 @@ class DimensionalParameters:
     K: float
 
     def __post_init__(self):
-        for name in _DIMENSIONAL_FIELDS:
+        for name in (f.name for f in fields(self)):
             value = getattr(self, name)
             if not value > 0.0:
                 raise InvalidParameterError(
                     f"{name} must be strictly positive, got {value!r}"
                 )
             check_finite(name, value)
-
-
-_DIMENSIONLESS_FIELDS = ("kappa1", "alpha", "beta1", "beta2", "gamma", "delta")
 
 
 @dataclass(frozen=True)
@@ -86,7 +79,7 @@ class DimensionlessParameters:
     delta: float
 
     def __post_init__(self):
-        for name in _DIMENSIONLESS_FIELDS:
+        for name in (f.name for f in fields(self)):
             value = getattr(self, name)
             if not value >= 0.0:
                 raise InvalidParameterError(

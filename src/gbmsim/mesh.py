@@ -6,6 +6,7 @@ constant diffusivity.  Both operators are slices of the (n_sub + 1)^2 vertex
 grid: the lumped weights add a third of each cell's area to its corners, and
 the 5-point stiffness stencil (the diagonal coupling of a right triangle
 vanishes) is three grid planes gathered into a CSR layout fixed per grid size.
+No operator reads the triangle list; only the VTK writer builds it.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class StructuredTriMesh:
     """Uniform triangulation of [xmin, xmax] x [ymin, ymax].
 
+    The mesh is the value of its six defining numbers: construction checks
+    them, and each array is derived from them on first use.
     (n_sub + 1)^2 vertices, 2 * n_sub^2 triangles, all with positive signed
     area.  ``lumped_weights`` are the per-vertex lumped mass entries; they
     partition the domain area.  ``diagonal`` records which cell diagonal the
@@ -43,18 +46,29 @@ class StructuredTriMesh:
     ymin: float
     ymax: float
     n_sub: int
-    vertices: np.ndarray
-    triangles: np.ndarray
-    lumped_weights: np.ndarray
     diagonal: str = "main"
+
+    def __post_init__(self):
+        if self.n_sub < 1:
+            raise MeshError(f"n_sub must be >= 1, got {self.n_sub}")
+        bounds = xmin, xmax, ymin, ymax = self.xmin, self.xmax, self.ymin, self.ymax
+        checked = {"xmin": xmin, "xmax": xmax, "ymin": ymin, "ymax": ymax,
+                   "xmax - xmin": xmax - xmin, "ymax - ymin": ymax - ymin}
+        for name, value in checked.items():
+            check_finite(name, value, MeshError)
+        if not (xmax > xmin and ymax > ymin):
+            raise MeshError(f"degenerate bounds {bounds!r}")
+        if self.diagonal not in ("main", "anti"):
+            raise MeshError(f"diagonal must be 'main' or 'anti', got {self.diagonal!r}")
+        self.lumped_weights  # lumped_mass checks the cell area
 
     @property
     def num_vertices(self) -> int:
-        return self.vertices.shape[0]
+        return (self.n_sub + 1) ** 2
 
     @property
     def num_triangles(self) -> int:
-        return self.triangles.shape[0]
+        return 2 * self.n_sub**2
 
     @property
     def area(self) -> float:
@@ -71,6 +85,32 @@ class StructuredTriMesh:
     def vertex_index(self, ix: int, iy: int) -> int:
         """Flat index of the grid vertex in column ix, row iy."""
         return iy * (self.n_sub + 1) + ix
+
+    @functools.cached_property
+    def vertices(self) -> np.ndarray:
+        """(num_vertices, 2) coordinates, rows of the grid from the bottom."""
+        n, m = self.n_sub, self.n_sub + 1
+        vertices = np.empty((m, m, 2))
+        vertices[..., 0] = _grid_coordinates(self.xmin, self.xmax, n)
+        vertices[..., 1] = _grid_coordinates(self.ymin, self.ymax, n)[:, None]
+        return vertices.reshape(m * m, 2)
+
+    @functools.cached_property
+    def lumped_weights(self) -> np.ndarray:
+        return lumped_mass(self)
+
+    @functools.cached_property
+    def triangles(self) -> np.ndarray:
+        """(num_triangles, 3) vertex indices, counterclockwise: two triangles
+        per cell, cells in row-major order, lower triangle first."""
+        n, m = self.n_sub, self.n_sub + 1
+        grid = np.arange(m * m, dtype=np.int64).reshape(m, m)
+        v00, v10, v01, v11 = grid[:-1, :-1], grid[:-1, 1:], grid[1:, :-1], grid[1:, 1:]
+        if self.diagonal == "main":
+            corners = (v00, v10, v11, v00, v11, v01)
+        else:
+            corners = (v00, v10, v01, v10, v11, v01)
+        return np.stack(corners, axis=-1).reshape(2 * n * n, 3)
 
 
 def _grid_coordinates(lo: float, hi: float, n: int) -> np.ndarray:
@@ -92,43 +132,7 @@ def build_mesh(bounds, n_sub: int, diagonal: str = "main") -> StructuredTriMesh:
         Cell-splitting diagonal; every cell uses the same one.
     """
     xmin, xmax, ymin, ymax = (float(b) for b in bounds)
-    if n_sub < 1:
-        raise MeshError(f"n_sub must be >= 1, got {n_sub}")
-    checked = {"xmin": xmin, "xmax": xmax, "ymin": ymin, "ymax": ymax,
-               "xmax - xmin": xmax - xmin, "ymax - ymin": ymax - ymin}
-    for name, value in checked.items():
-        check_finite(name, value, MeshError)
-    if not (xmax > xmin and ymax > ymin):
-        raise MeshError(f"degenerate bounds {bounds!r}")
-    if diagonal not in ("main", "anti"):
-        raise MeshError(f"diagonal must be 'main' or 'anti', got {diagonal!r}")
-
-    n, m = n_sub, n_sub + 1
-    vertices = np.empty((m, m, 2))
-    vertices[..., 0] = _grid_coordinates(xmin, xmax, n)
-    vertices[..., 1] = _grid_coordinates(ymin, ymax, n)[:, None]
-    # Two triangles per cell, cells in row-major order, lower triangle first.
-    grid = np.arange(m * m, dtype=np.int64).reshape(m, m)
-    v00, v10, v01, v11 = grid[:-1, :-1], grid[:-1, 1:], grid[1:, :-1], grid[1:, 1:]
-    if diagonal == "main":
-        corners = (v00, v10, v11, v00, v11, v01)
-    else:
-        corners = (v00, v10, v01, v10, v11, v01)
-    triangles = np.stack(corners, axis=-1).reshape(2 * n * n, 3)
-
-    mesh = StructuredTriMesh(
-        xmin=xmin,
-        xmax=xmax,
-        ymin=ymin,
-        ymax=ymax,
-        n_sub=n_sub,
-        vertices=vertices.reshape(m * m, 2),
-        triangles=triangles,
-        lumped_weights=np.empty(0),
-        diagonal=diagonal,
-    )
-    mesh.lumped_weights = lumped_mass(mesh)
-    return mesh
+    return StructuredTriMesh(xmin, xmax, ymin, ymax, n_sub, diagonal)
 
 
 def lumped_mass(mesh: StructuredTriMesh) -> np.ndarray:

@@ -89,13 +89,14 @@ def ring_quotient(state, mesh: StructuredTriMesh) -> float:
     """Proliferative share of the total tumor mass, in [0, 1] for
     nonnegative fields.
 
-    A vanishing denominator (no tumor at all) returns 1: the state is treated
-    as all proliferative, which keeps the value continuous with a necrosis
-    free seed.
+    A zero denominator (no tumor at all) returns 1: the state is treated as
+    all proliferative, which keeps the value continuous with a necrosis free
+    seed.  Any other denominator, however small, gives the quotient, so the
+    value does not depend on the scale of the domain.
     """
     numerator = lumped_integral(mesh, state.t_field)
     denominator = lumped_integral(mesh, state.t_field + state.n_field)
-    if abs(denominator) < 1e-14:
+    if denominator == 0.0:
         return 1.0
     return numerator / denominator
 

@@ -97,14 +97,6 @@ class SimulationState:
     n_field: np.ndarray
     phi_field: np.ndarray
 
-    def copy(self) -> "SimulationState":
-        return SimulationState(
-            time=self.time,
-            t_field=self.t_field.copy(),
-            n_field=self.n_field.copy(),
-            phi_field=self.phi_field.copy(),
-        )
-
 
 @dataclass(frozen=True)
 class BoundViolation:
@@ -140,7 +132,8 @@ class HomogeneousTrajectory:
         return int(self.times.size)
 
 
-def solve_spd(matrix, rhs, tol: float = 1e-10, max_iter: int = 500, x0=None):
+def solve_spd(matrix, rhs, tol: float = SolverConfig.cg_tolerance,
+              max_iter: int = SolverConfig.cg_max_iterations, x0=None):
     """Jacobi-preconditioned conjugate gradients for an SPD sparse system.
 
     Guarantees ||A x - b|| / ||b|| <= tol on return (the true residual is
@@ -248,8 +241,8 @@ def step(
     params: DimensionlessParameters,
     mesh: StructuredTriMesh,
     dt: float,
-    cg_tolerance: float = 1e-10,
-    cg_max_iterations: int = 500,
+    cg_tolerance: float = SolverConfig.cg_tolerance,
+    cg_max_iterations: int = SolverConfig.cg_max_iterations,
     guess: np.ndarray | None = None,
 ) -> SimulationState:
     """Advance the state by one time step (see module docstring for the
@@ -356,7 +349,7 @@ def run(scenario, config: SolverConfig | None = None,
     n_steps = int(round(config.t_final / config.dt))
     violations: list[BoundViolation] = []
     metrics = [compute_sample(state, mesh, theta)]
-    snapshots = [state.copy()]
+    snapshots = [state]  # step allocates new fields and writes no old ones
     history = [state.t_field]  # the last accepted T fields, newest first
 
     for k in range(1, n_steps + 1):
@@ -383,7 +376,7 @@ def run(scenario, config: SolverConfig | None = None,
         if k % config.metrics_every == 0 or k == n_steps:
             metrics.append(compute_sample(state, mesh, theta))
         if k % config.snapshot_every == 0 or k == n_steps:
-            snapshots.append(state.copy())
+            snapshots.append(state)
 
     return RunResult(
         mesh=mesh,

@@ -141,6 +141,9 @@ SURFACE = "[ic]\nscenario=surface\n"
     (SURFACE + "zone1=0, 0, 1, 0.5\nzone01=0, 0, 1, 0.5\n", 4,
      "duplicate key 'zone1'"),
     ("[ic]\nzone1=0, 0, 2, 0.5\n", 2, "zone keys require scenario=surface"),
+    (SURFACE + "vasculature_level=0.9\n", 3,
+     "vasculature_level requires scenario=ring"),
+    ("[ic]\nzone_base_level=0.9\n", 2, "zone_base_level requires scenario=surface"),
     # Range errors on one key carry that key's line.
     ("[params]\nalpha=-3\n", 2, "alpha must be nonnegative, got -3.0"),
     ("[params]\nkappa1=nan\n", 2, "kappa1 must be nonnegative, got nan"),

@@ -119,6 +119,56 @@ def test_tumor_ic_integral_nondegenerate():
     assert 0.0 < mass < mesh.area
 
 
+def full_field_bump(mesh, center, radius, peak):
+    """The bump evaluated at every vertex: the oracle for the bounding box."""
+    dx = mesh.vertices[:, 0] - center[0]
+    dy = mesh.vertices[:, 1] - center[1]
+    dist_sq = dx * dx + dy * dy
+    sigma = radius / 3.0
+    values = peak * np.exp(-dist_sq / (2.0 * sigma * sigma))
+    return np.where(dist_sq <= radius * radius, values, 0.0)
+
+
+@pytest.mark.parametrize("diagonal", ["main", "anti"])
+@pytest.mark.parametrize("bounds, n_sub", [
+    ((-9, 9, -9, 9), 45),
+    ((-9, 9, -9, 9), 180),
+    ((-3.3, 7.1, 0.2, 9.9), 17),
+])
+def test_tumor_bump_box_matches_the_full_field(bounds, n_sub, diagonal):
+    mesh = build_mesh(bounds, n_sub, diagonal)
+    xmin, xmax, ymin, ymax = bounds
+    cell = max(xmax - xmin, ymax - ymin) / n_sub
+    span = max(xmax - xmin, ymax - ymin)
+    centers = [(x, y) for x in (xmin, (xmin + xmax) / 2, xmax)
+               for y in (ymin, 0.3 * ymin + 0.7 * ymax, ymax)]
+    for center in centers:
+        for radius in (0.3 * cell, cell, 3.0, span / 3, 2 * span):
+            np.testing.assert_array_equal(
+                ic_tumor_bump(mesh, center, radius, 0.5),
+                full_field_bump(mesh, center, radius, 0.5),
+            )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x0=st.floats(-50, 50), y0=st.floats(-50, 50),
+    width=st.floats(0.01, 40), height=st.floats(0.01, 40),
+    n_sub=st.integers(1, 40), u=st.floats(0, 1), v=st.floats(0, 1),
+    r=st.floats(1e-3, 2.0), peak=st.floats(0.01, 1.0),
+)
+def test_tumor_bump_box_matches_the_full_field_on_random_discs(
+    x0, y0, width, height, n_sub, u, v, r, peak
+):
+    mesh = build_mesh((x0, x0 + width, y0, y0 + height), n_sub)
+    center = (x0 + u * width, y0 + v * height)
+    radius = r * max(width, height)
+    np.testing.assert_array_equal(
+        ic_tumor_bump(mesh, center, radius, peak),
+        full_field_bump(mesh, center, radius, peak),
+    )
+
+
 def test_tumor_ic_rejects_outside_center():
     mesh = build_mesh((-9, 9, -9, 9), 10)
     with pytest.raises(InvalidParameterError):
@@ -264,6 +314,11 @@ def test_zone_rejects_non_finite_center_and_radius(center, radius, message):
         ZoneSpec(center=center, radius=radius, level=0.5)
 
 
+def test_zone_rejects_level_outside_unit_interval():
+    with pytest.raises(InvalidParameterError, match=r"zone level must lie in \[0, 1\], got 1.5"):
+        ZoneSpec(center=(0.0, 0.0), radius=1.0, level=1.5)
+
+
 def test_zone_outside_domain_rejected():
     scenario = scenario_surface_regularity()
     bad = ZonedVasculature(
@@ -335,3 +390,5 @@ def test_sweep_unknown_parameter():
         sweep(scenario, "omega", [1.0])
     with pytest.raises(InvalidParameterError):
         sweep(scenario, "alpha", [])
+    with pytest.raises(InvalidParameterError, match="unknown parameter 'nope'"):
+        default_sweep_values("nope")

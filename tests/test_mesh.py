@@ -5,6 +5,7 @@ gradients come from solving the three plane equations per triangle instead of
 the analytic edge formulas used by the package.
 """
 
+import dataclasses
 import hashlib
 import re
 import warnings
@@ -15,10 +16,13 @@ from scipy import sparse
 
 from gbmsim import (
     MeshError,
+    StructuredTriMesh,
     assemble_stiffness,
     build_mesh,
     lumped_integral,
     lumped_mass,
+    scenario_surface_regularity,
+    vascular_fraction,
 )
 
 
@@ -67,6 +71,39 @@ def test_invalid_mesh_arguments():
         build_mesh((1, 0, 0, 1), 4)
     with pytest.raises(MeshError):
         build_mesh((0, 1, 2, 2), 4)
+    with pytest.raises(MeshError, match="^diagonal must be 'main' or 'anti', got 'x'$"):
+        build_mesh((0, 1, 0, 1), 4, diagonal="x")
+
+
+def test_direct_construction_runs_the_checks():
+    with pytest.raises(MeshError, match="^n_sub must be >= 1, got 0$"):
+        StructuredTriMesh(0, 1, 0, 1, 0)
+    with pytest.raises(MeshError, match="^xmax must be finite"):
+        StructuredTriMesh(0, float("inf"), 0, 1, 4)
+
+
+def test_mesh_is_a_frozen_value_of_its_defining_numbers():
+    mesh = build_mesh((-2, 3, -1, 4), 7, diagonal="anti")
+    assert [f.name for f in dataclasses.fields(mesh)] == [
+        "xmin", "xmax", "ymin", "ymax", "n_sub", "diagonal"
+    ]
+    assert mesh == StructuredTriMesh(-2.0, 3.0, -1.0, 4.0, 7, "anti")
+    assert mesh != build_mesh((-2, 3, -1, 4), 7)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mesh.n_sub = 8
+    assert mesh.num_vertices == len(mesh.vertices) == 64
+    assert mesh.num_triangles == len(mesh.triangles) == 98
+
+
+def test_set_up_builds_no_triangles():
+    # The set-up sequence of a run: mesh, initial state, first assembly.
+    scenario = scenario_surface_regularity()
+    mesh = scenario.build_mesh()
+    state = scenario.initial_state(mesh)
+    p = vascular_fraction(state.phi_field, state.t_field)
+    assemble_stiffness(mesh, scenario.params.kappa1 * p + 1.0)
+    assert mesh.num_triangles == 4050
+    assert "triangles" not in vars(mesh)
 
 
 @pytest.mark.parametrize(
@@ -241,6 +278,14 @@ def _sha1(array):
     return hashlib.sha1(np.ascontiguousarray(array, dtype="<f8").tobytes()).hexdigest()
 
 
+# Bits of the vertex and triangle arrays; deriving them lazily must keep them.
+VERTICES_SHA1 = "db8cab128708c164d31dfdb66e30325bb93d3b6f"
+TRIANGLES_SHA1 = {
+    "main": "c6f3acbdd4a24d7dd0322768c7458030b92224b3",
+    "anti": "97d2e13369d3c94979cf6db3f0fd277a88e4c259",
+}
+
+
 @pytest.mark.parametrize(
     "diagonal, weights, plain, shifted",
     [
@@ -258,6 +303,8 @@ def test_weights_and_stiffness_bits_pinned(diagonal, weights, plain, shifted):
     rng = np.random.default_rng(20)
     diffusivity = 1.0 + 5.0 * rng.random(mesh.num_vertices)
     shift = rng.random(mesh.num_vertices)
+    assert _sha1(mesh.vertices) == VERTICES_SHA1
+    assert _sha1(mesh.triangles) == TRIANGLES_SHA1[diagonal]
     assert _sha1(mesh.lumped_weights) == weights
     assert _sha1(assemble_stiffness(mesh, diffusivity).toarray()) == plain
     assert _sha1(assemble_stiffness(mesh, diffusivity, shift).toarray()) == shifted

@@ -121,6 +121,13 @@ def test_rq_empty_tumor_defined_as_one():
     assert ring_quotient(state, mesh) == 1.0
 
 
+def test_rq_tiny_domain_is_not_taken_for_an_empty_tumor():
+    # The integrals are 2.5e-17 and 1e-16: small, but no tumor is missing.
+    mesh = build_mesh((0, 1e-8, 0, 1e-8), 4)
+    state = state_on(mesh, t=0.25, n=0.75)
+    assert ring_quotient(state, mesh) == pytest.approx(0.25, rel=1e-14)
+
+
 @settings(max_examples=100, deadline=None)
 @given(scale=st.floats(1e-6, 1e6))
 def test_rq_scale_invariant(scale):

@@ -111,6 +111,14 @@ def test_solve_spd_iteration_budget():
     assert info.value.residual > 0
 
 
+def test_solve_spd_stalls_on_an_indefinite_matrix():
+    # p = D^-1 b = (0, -1) gives r.z = p.Ap = -1 before the first update.
+    with pytest.raises(SolverFailure) as info:
+        solve_spd(sparse.csr_matrix(np.diag([1.0, -1.0])), np.array([0.0, 1.0]))
+    assert info.value.iterations == 0
+    assert info.value.residual == 1.0
+
+
 def test_solve_spd_leaves_inputs_unmodified():
     _check_inputs_unmodified((25,))
 
@@ -427,6 +435,12 @@ def test_homogeneous_samples_every_step():
     trajectory = run_homogeneous(FieldTriple(0.1, 0.0, 0.5), TABLE_PARAMS, 1e-3, 0.01)
     assert len(trajectory) == 11
     assert trajectory.times[-1] == pytest.approx(0.01)
+
+
+def test_homogeneous_overflow_raises_at_its_step():
+    with pytest.raises(SolverFailure, match="overflowed at step 1$") as info:
+        run_homogeneous(FieldTriple(1e308, 0.0, 0.5), TABLE_PARAMS, 1e-3, 0.01)
+    assert info.value.step_index == 1
 
 
 @pytest.mark.parametrize("t_final", [-1.0, float("nan"), float("inf")])
