@@ -30,7 +30,6 @@ from .mesh import (
     assemble_stiffness,
     build_mesh,
     lumped_integral,
-    lumped_mass,
 )
 from .metrics import (
     DEFAULT_THRESHOLD,
@@ -41,7 +40,6 @@ from .metrics import (
     ring_quotient,
     surface_quotient,
     threshold_indicator,
-    total_density,
     tumor_area,
 )
 from .solver import (
@@ -64,8 +62,6 @@ from .experiments import (
     ZonedVasculature,
     ZoneSpec,
     default_sweep_values,
-    ic_tumor_bump,
-    ic_vasculature_zones,
     scenario_ring_width,
     scenario_surface_regularity,
     sweep,

@@ -31,7 +31,7 @@ from .experiments import (
 )
 from .kinetics import DimensionlessParameters, FieldTriple
 from .metrics import DEFAULT_THRESHOLD, check_threshold
-from .solver import SolverConfig
+from .solver import SolverConfig, homogeneous_start
 
 __all__ = ["RunConfig", "parse_config"]
 
@@ -168,6 +168,7 @@ def _resolve(found: dict) -> RunConfig:
     if config.n_sub < 1:
         raise InvalidParameterError("n_sub must be >= 1")
     check_threshold(config.theta)
+    homogeneous_start(config.ode_initial)
     config.to_scenario()
     return config
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, check_finite
 from .kinetics import DimensionlessParameters
-from .mesh import StructuredTriMesh, build_mesh
+from .mesh import StructuredTriMesh, build_mesh, check_bounds
 from .metrics import DEFAULT_THRESHOLD
 from .solver import MetricsSample, RunResult, SimulationState, SolverConfig, run
 
@@ -31,8 +31,6 @@ __all__ = [
     "ZoneSpec",
     "ZonedVasculature",
     "Scenario",
-    "ic_tumor_bump",
-    "ic_vasculature_zones",
     "scenario_ring_width",
     "scenario_surface_regularity",
     "sweep",
@@ -77,6 +75,18 @@ class BumpSpec:
         if not 0.0 < self.peak <= 1.0:
             raise InvalidParameterError(f"bump peak must lie in (0, 1], got {self.peak!r}")
 
+    def field(self, mesh: StructuredTriMesh) -> np.ndarray:
+        """The bump at the mesh's vertices; the center must lie in the domain."""
+        cx, cy = self.center
+        if not (mesh.xmin <= cx <= mesh.xmax and mesh.ymin <= cy <= mesh.ymax):
+            raise InvalidParameterError(f"center {self.center!r} lies outside the domain")
+        field = np.zeros((mesh.n_sub + 1,) * 2)
+        box, dist_sq = _disc_box(mesh, self.center, self.radius)
+        inside = dist_sq <= self.radius * self.radius
+        sigma = self.radius / 3.0
+        field[box][inside] = self.peak * np.exp(-dist_sq[inside] / (2.0 * sigma * sigma))
+        return field.ravel()
+
 
 @dataclass(frozen=True)
 class ZoneSpec:
@@ -119,8 +129,8 @@ DEFAULT_ZONES = (
 
 @dataclass(frozen=True)
 class ZonedVasculature:
-    """Initial vasculature: base_level everywhere, overridden inside each zone.
-    With no zones the field is uniform."""
+    """Initial vasculature: base_level everywhere, overridden inside each zone;
+    later zones win on overlap.  With no zones the field is uniform."""
 
     base_level: float
     zones: tuple[ZoneSpec, ...]
@@ -130,6 +140,14 @@ class ZonedVasculature:
             raise InvalidParameterError(
                 f"vasculature level must lie in [0, 1], got {self.base_level!r}"
             )
+
+    def field(self, mesh: StructuredTriMesh) -> np.ndarray:
+        """The vasculature at the mesh's vertices."""
+        field = np.full((mesh.n_sub + 1,) * 2, float(self.base_level))
+        for zone in self.zones:
+            box, dist_sq = _disc_box(mesh, zone.center, zone.radius)
+            field[box][dist_sq <= zone.radius * zone.radius] = zone.level
+        return field.ravel()
 
 
 @dataclass(frozen=True)
@@ -149,6 +167,7 @@ class Scenario:
     solver: SolverConfig = SolverConfig()
 
     def __post_init__(self):
+        check_bounds(*self.bounds)
         if not 0.0 <= self.necrosis_level <= 1.0:
             raise InvalidParameterError(
                 f"necrosis level must lie in [0, 1], got {self.necrosis_level!r}"
@@ -173,44 +192,13 @@ class Scenario:
         return build_mesh(self.bounds, self.n_sub)
 
     def initial_state(self, mesh: StructuredTriMesh) -> SimulationState:
-        tumor = ic_tumor_bump(
-            mesh, self.tumor_ic.center, self.tumor_ic.radius, self.tumor_ic.peak
-        )
-        vasculature = ic_vasculature_zones(
-            mesh, self.vasculature_ic.base_level, self.vasculature_ic.zones
-        )
         necrosis = np.full(mesh.num_vertices, float(self.necrosis_level))
         return SimulationState(
-            time=0.0, t_field=tumor, n_field=necrosis, phi_field=vasculature
+            time=0.0,
+            t_field=self.tumor_ic.field(mesh),
+            n_field=necrosis,
+            phi_field=self.vasculature_ic.field(mesh),
         )
-
-
-def ic_tumor_bump(mesh: StructuredTriMesh, center, radius: float, peak: float):
-    """Compactly supported Gaussian bump at the vertices, checked as a BumpSpec."""
-    BumpSpec(center, radius, peak)
-    cx, cy = center
-    if not (mesh.xmin <= cx <= mesh.xmax and mesh.ymin <= cy <= mesh.ymax):
-        raise InvalidParameterError(f"center {center!r} lies outside the domain")
-    field = np.zeros((mesh.n_sub + 1,) * 2)
-    box, dist_sq = _disc_box(mesh, center, radius)
-    inside = dist_sq <= radius * radius
-    sigma = radius / 3.0
-    field[box][inside] = peak * np.exp(-dist_sq[inside] / (2.0 * sigma * sigma))
-    return field.ravel()
-
-
-def ic_vasculature_zones(mesh: StructuredTriMesh, base_level: float, zones):
-    """Constant base field overridden inside each disc; later zones win on
-    overlap."""
-    if not 0.0 <= base_level <= 1.0:
-        raise InvalidParameterError(
-            f"vasculature level must lie in [0, 1], got {base_level!r}"
-        )
-    field = np.full((mesh.n_sub + 1,) * 2, float(base_level))
-    for zone in zones:
-        box, dist_sq = _disc_box(mesh, zone.center, zone.radius)
-        field[box][dist_sq <= zone.radius * zone.radius] = zone.level
-    return field.ravel()
 
 
 def _disc_box(mesh: StructuredTriMesh, center, radius: float):

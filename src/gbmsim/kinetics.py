@@ -106,19 +106,20 @@ def vascular_fraction(phi, t):
 
     Negative inputs contribute through their positive part only, so the
     fraction is 0 whenever the vasculature density is nonpositive.  The
-    denominator is bounded below by 1/2, making this a total function.
+    denominator is bounded below by 1/2, making this a total function, and
+    the numerator is nonnegative, so only the clip at 1 can bind.
     """
     phi_pos = np.maximum(phi, 0.0)
     t_pos = np.maximum(t, 0.0)
     fraction = phi_pos / ((phi_pos + 1.0) / 2.0 + t_pos)
-    return np.clip(fraction, 0.0, 1.0)
+    return np.minimum(fraction, 1.0)
 
 
 def hypoxia_factor(phi, t):
     """Complementary fraction sqrt(1 - P^2) measuring the lack of vasculature.
 
-    P is clamped to [0, 1] inside :func:`vascular_fraction`, so the radicand
-    is never negative.
+    P lies in [0, 1] by :func:`vascular_fraction`, so the radicand is never
+    negative.
     """
     p = vascular_fraction(phi, t)
     return np.sqrt(1.0 - p * p)

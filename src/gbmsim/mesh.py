@@ -22,7 +22,7 @@ from .errors import MeshError, check_finite
 __all__ = [
     "StructuredTriMesh",
     "build_mesh",
-    "lumped_mass",
+    "check_bounds",
     "assemble_stiffness",
     "lumped_integral",
 ]
@@ -51,16 +51,10 @@ class StructuredTriMesh:
     def __post_init__(self):
         if self.n_sub < 1:
             raise MeshError(f"n_sub must be >= 1, got {self.n_sub}")
-        bounds = xmin, xmax, ymin, ymax = self.xmin, self.xmax, self.ymin, self.ymax
-        checked = {"xmin": xmin, "xmax": xmax, "ymin": ymin, "ymax": ymax,
-                   "xmax - xmin": xmax - xmin, "ymax - ymin": ymax - ymin}
-        for name, value in checked.items():
-            check_finite(name, value, MeshError)
-        if not (xmax > xmin and ymax > ymin):
-            raise MeshError(f"degenerate bounds {bounds!r}")
+        check_bounds(self.xmin, self.xmax, self.ymin, self.ymax)
         if self.diagonal not in ("main", "anti"):
             raise MeshError(f"diagonal must be 'main' or 'anti', got {self.diagonal!r}")
-        self.lumped_weights  # lumped_mass checks the cell area
+        self.lumped_weights  # checks the cell area
 
     @property
     def num_vertices(self) -> int:
@@ -97,7 +91,28 @@ class StructuredTriMesh:
 
     @functools.cached_property
     def lumped_weights(self) -> np.ndarray:
-        return lumped_mass(self)
+        """One third of the adjacent triangle areas per vertex.  Both
+        triangles of a cell have the cell's area, since one cross term of
+        their edges is exactly 0."""
+        m = self.n_sub + 1
+        xs, ys = self.vertices[:m, 0], self.vertices[::m, 1]
+        with np.errstate(over="ignore"):
+            third = 0.5 * np.multiply.outer(np.diff(ys), np.diff(xs)) / 3.0
+        if not (third.min() > 0.0 and np.isfinite(third.max())):
+            raise MeshError(
+                f"cell area of spans {self.xmax - self.xmin!r} x {self.ymax - self.ymin!r}"
+                f" at n_sub={self.n_sub} is not positive and finite"
+            )
+        # Thirds in the order a per-triangle sum adds them (cells row-major,
+        # lower triangle first): corners v11, v01, v10, v00, once per triangle.
+        lo, hi = slice(None, -1), slice(1, None)
+        corners = [(hi, hi), (hi, lo), (lo, hi), (lo, lo)]
+        counts = (2, 1, 1, 2) if self.diagonal == "main" else (1, 2, 2, 1)
+        weights = np.zeros((m, m))
+        for corner, count in zip(corners, counts):
+            for _ in range(count):
+                weights[corner] += third
+        return weights.ravel()
 
     @functools.cached_property
     def triangles(self) -> np.ndarray:
@@ -135,31 +150,15 @@ def build_mesh(bounds, n_sub: int, diagonal: str = "main") -> StructuredTriMesh:
     return StructuredTriMesh(xmin, xmax, ymin, ymax, n_sub, diagonal)
 
 
-def lumped_mass(mesh: StructuredTriMesh) -> np.ndarray:
-    """Per-vertex lumped mass weights: one third of the adjacent triangle areas.
-
-    Strictly positive; sums to the domain area.  Both triangles of a cell
-    have the cell's area, since one cross term of their edges is exactly 0.
-    """
-    m = mesh.n_sub + 1
-    xs, ys = mesh.vertices[:m, 0], mesh.vertices[::m, 1]
-    with np.errstate(over="ignore"):
-        third = 0.5 * np.multiply.outer(np.diff(ys), np.diff(xs)) / 3.0
-    if not (third.min() > 0.0 and np.isfinite(third.max())):
-        raise MeshError(
-            f"cell area of spans {mesh.xmax - mesh.xmin!r} x {mesh.ymax - mesh.ymin!r}"
-            f" at n_sub={mesh.n_sub} is not positive and finite"
-        )
-    # Thirds in the order a per-triangle sum adds them (cells row-major,
-    # lower triangle first): corners v11, v01, v10, v00, once per triangle.
-    lo, hi = slice(None, -1), slice(1, None)
-    corners = [(hi, hi), (hi, lo), (lo, hi), (lo, lo)]
-    counts = (2, 1, 1, 2) if mesh.diagonal == "main" else (1, 2, 2, 1)
-    weights = np.zeros((m, m))
-    for corner, count in zip(corners, counts):
-        for _ in range(count):
-            weights[corner] += third
-    return weights.ravel()
+def check_bounds(xmin, xmax, ymin, ymax) -> None:
+    """Reject a rectangle whose bounds or spans are not finite, or that is
+    empty."""
+    checked = {"xmin": xmin, "xmax": xmax, "ymin": ymin, "ymax": ymax,
+               "xmax - xmin": xmax - xmin, "ymax - ymin": ymax - ymin}
+    for name, value in checked.items():
+        check_finite(name, value, MeshError)
+    if not (xmax > xmin and ymax > ymin):
+        raise MeshError(f"degenerate bounds {(xmin, xmax, ymin, ymax)!r}")
 
 
 @functools.lru_cache(maxsize=None)

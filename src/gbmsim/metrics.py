@@ -36,7 +36,6 @@ __all__ = [
     "tumor_area",
     "max_radius",
     "surface_quotient",
-    "total_density",
     "compute_sample",
 ]
 
@@ -94,19 +93,29 @@ def ring_quotient(state, mesh: StructuredTriMesh) -> float:
     seed.  Any other denominator, however small, gives the quotient, so the
     value does not depend on the scale of the domain.
     """
-    numerator = lumped_integral(mesh, state.t_field)
-    denominator = lumped_integral(mesh, state.t_field + state.n_field)
-    if denominator == 0.0:
+    return _quotient(
+        lumped_integral(mesh, state.t_field),
+        lumped_integral(mesh, state.t_field + state.n_field),
+    )
+
+
+def _quotient(tumor: float, total: float) -> float:
+    """RQ from the integrals of T and of T + N."""
+    if total == 0.0:
         return 1.0
-    return numerator / denominator
+    return tumor / total
 
 
 def threshold_indicator(
     state, mesh: StructuredTriMesh, theta: float = DEFAULT_THRESHOLD
 ) -> ThresholdedRegion:
     """Vertices with T + N >= theta (inclusive)."""
-    mask = (state.t_field + state.n_field) >= theta
-    indices = np.flatnonzero(mask)
+    return _region(state.t_field + state.n_field, mesh, theta)
+
+
+def _region(total, mesh: StructuredTriMesh, theta: float) -> ThresholdedRegion:
+    """Vertices where the field ``total`` (T + N) reaches theta."""
+    indices = np.flatnonzero(total >= theta)
     return ThresholdedRegion(indices=indices, coordinates=mesh.vertices[indices])
 
 
@@ -146,29 +155,12 @@ def _regularity(area: float, radius: float, mesh: StructuredTriMesh) -> float:
     return area / (math.pi * radius * radius)
 
 
-def total_density(state, mesh: StructuredTriMesh, selector: str) -> float:
-    """Lumped integral of the selected field combination.
-
-    ``selector`` is one of "T", "N", "T+N", "Phi".
-    """
-    if selector == "T":
-        values = state.t_field
-    elif selector == "N":
-        values = state.n_field
-    elif selector == "T+N":
-        values = state.t_field + state.n_field
-    elif selector == "Phi":
-        values = state.phi_field
-    else:
-        raise InvalidParameterError(f"unknown density selector {selector!r}")
-    return lumped_integral(mesh, values)
-
-
 def compute_sample(
     state, mesh: StructuredTriMesh, theta: float = DEFAULT_THRESHOLD
 ) -> MetricsSample:
     """Evaluate the full observable set for one state."""
-    region = threshold_indicator(state, mesh, theta)
+    total = state.t_field + state.n_field
+    region = _region(total, mesh, theta)
     area = tumor_area(region, mesh)
     if len(region) == 0:
         sq = float("nan")
@@ -176,15 +168,17 @@ def compute_sample(
     else:
         r_max = max_radius(region)
         sq = _regularity(area, r_max, mesh)
+    tumor_density = lumped_integral(mesh, state.t_field)
+    total_tn_density = lumped_integral(mesh, total)
     return MetricsSample(
         time=state.time,
-        rq=ring_quotient(state, mesh),
+        rq=_quotient(tumor_density, total_tn_density),
         sq=sq,
         area=area,
         r_max=r_max,
-        tumor_density=total_density(state, mesh, "T"),
-        total_tn_density=total_density(state, mesh, "T+N"),
-        phi_density=total_density(state, mesh, "Phi"),
+        tumor_density=tumor_density,
+        total_tn_density=total_tn_density,
+        phi_density=lumped_integral(mesh, state.phi_field),
     )
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "step",
     "run",
     "run_homogeneous",
+    "homogeneous_start",
 ]
 
 logger = logging.getLogger(__name__)
@@ -386,6 +387,15 @@ def run(scenario, config: SolverConfig | None = None,
     )
 
 
+def homogeneous_start(initial: FieldTriple) -> tuple[float, float, float]:
+    """The start of :func:`run_homogeneous` as floats (T, N, Phi); each must
+    be finite."""
+    start = {f.name: float(getattr(initial, f.name)) for f in fields(initial)}
+    for name, value in start.items():
+        check_finite(f"initial {name}", value)
+    return tuple(start.values())
+
+
 def run_homogeneous(
     initial: FieldTriple,
     params: DimensionlessParameters,
@@ -400,10 +410,7 @@ def run_homogeneous(
     be finite.  Raises :class:`SolverFailure` on numeric overflow.
     """
     SolverConfig(dt=dt, t_final=t_final)
-    start = {f.name: float(getattr(initial, f.name)) for f in fields(initial)}
-    for name, value in start.items():
-        check_finite(f"initial {name}", value)
-    t, n, phi = start.values()
+    t, n, phi = homogeneous_start(initial)
     n_steps = int(round(t_final / dt))
     times = dt * np.arange(n_steps + 1)
     t_out = np.empty(n_steps + 1)

@@ -168,6 +168,8 @@ SURFACE = "[ic]\nscenario=surface\n"
      "tumor center (20.0, 0.0) outside domain (-9.0, 9.0, -9.0, 9.0)"),
     ("[mesh]\nxmin=1\n", None,
      "tumor center (0.0, 0.0) outside domain (1.0, 9.0, -9.0, 9.0)"),
+    ("[mesh]\nxmin=inf\n", None, "xmin must be finite, got inf"),
+    ("[mesh]\nxmax=-10\n", None, "degenerate bounds (-9.0, -10.0, -9.0, 9.0)"),
     (SURFACE + "zone1=8, 0, 2, 0.5\n", None,
      "zone ZoneSpec(center=(8.0, 0.0), radius=2.0, level=0.5) does not lie "
      "within domain (-9.0, 9.0, -9.0, 9.0)"),
@@ -196,7 +198,7 @@ def test_non_finite_rate_rejected(key):
 
 
 def _bump_with_infinite_radius():
-    gbmsim.ic_tumor_bump(build_mesh((-9, 9, -9, 9), 4), (0.0, 0.0), math.inf, 0.5)
+    gbmsim.BumpSpec(radius=math.inf)
 
 
 def _run_with_infinite_theta():
@@ -205,9 +207,15 @@ def _run_with_infinite_theta():
     gbmsim.run(dataclasses.replace(scenario, n_sub=4), config, theta=math.inf)
 
 
+def _ode_with_nan_tumor():
+    start = gbmsim.FieldTriple(math.nan, 0.0, 0.5)
+    gbmsim.run_homogeneous(start, gbmsim.DEFAULT_PARAMETERS, 0.001, 0.001)
+
+
 @pytest.mark.parametrize("text, call", [
     ("[ic]\ntumor_radius=inf\n", _bump_with_infinite_radius),
     ("[output]\ntheta=inf\n", _run_with_infinite_theta),
+    ("[ic]\node_tumor=nan\n", _ode_with_nan_tumor),
 ])
 def test_api_rejects_non_finite_values_like_the_config(text, call):
     with pytest.raises(ConfigError) as config_info:
@@ -603,7 +611,7 @@ def test_cli_ode_rejects_non_finite_initial_state(tmp_path, capsys, value):
     out = tmp_path / "out"
     assert main(["ode", "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: initial t_density must be finite, got {value}\n"
+    assert err == f"error: line 2: initial t_density must be finite, got {value}\n"
     assert not out.exists()
 
 

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbmsim import (
+    BumpSpec,
     InvalidParameterError,
     PARAMETER_RANGES,
     ZoneSpec,
     ZonedVasculature,
     build_mesh,
     default_sweep_values,
-    ic_tumor_bump,
-    ic_vasculature_zones,
     lumped_integral,
     scenario_ring_width,
     scenario_surface_regularity,
@@ -100,7 +99,7 @@ def test_unknown_override_rejected():
 
 def test_tumor_ic_bump_shape():
     mesh = build_mesh((-9, 9, -9, 9), 90)  # center is a grid vertex here
-    field = ic_tumor_bump(mesh, (0.0, 0.0), 3.0, 0.5)
+    field = BumpSpec((0.0, 0.0), 3.0, 0.5).field(mesh)
     center = mesh.vertex_index(45, 45)
     assert field[center] == pytest.approx(0.5)
     dist = np.linalg.norm(mesh.vertices, axis=1)
@@ -145,7 +144,7 @@ def test_tumor_bump_box_matches_the_full_field(bounds, n_sub, diagonal):
     for center in centers:
         for radius in (0.3 * cell, cell, 3.0, span / 3, 2 * span):
             np.testing.assert_array_equal(
-                ic_tumor_bump(mesh, center, radius, 0.5),
+                BumpSpec(center, radius, 0.5).field(mesh),
                 full_field_bump(mesh, center, radius, 0.5),
             )
 
@@ -164,7 +163,7 @@ def test_tumor_bump_box_matches_the_full_field_on_random_discs(
     center = (x0 + u * width, y0 + v * height)
     radius = r * max(width, height)
     np.testing.assert_array_equal(
-        ic_tumor_bump(mesh, center, radius, peak),
+        BumpSpec(center, radius, peak).field(mesh),
         full_field_bump(mesh, center, radius, peak),
     )
 
@@ -172,29 +171,29 @@ def test_tumor_bump_box_matches_the_full_field_on_random_discs(
 def test_tumor_ic_rejects_outside_center():
     mesh = build_mesh((-9, 9, -9, 9), 10)
     with pytest.raises(InvalidParameterError):
-        ic_tumor_bump(mesh, (12.0, 0.0), 3.0, 0.5)
+        BumpSpec((12.0, 0.0), 3.0, 0.5).field(mesh)
 
 
 def test_uniform_vasculature_levels():
     mesh = build_mesh((-9, 9, -9, 9), 9)
-    assert np.all(ic_vasculature_zones(mesh, 0.5, ()) == 0.5)
-    assert np.all(ic_vasculature_zones(mesh, 0.0, ()) == 0.0)
-    assert lumped_integral(mesh, ic_vasculature_zones(mesh, 0.5, ())) == pytest.approx(
+    assert np.all(ZonedVasculature(0.5, ()).field(mesh) == 0.5)
+    assert np.all(ZonedVasculature(0.0, ()).field(mesh) == 0.0)
+    assert lumped_integral(mesh, ZonedVasculature(0.5, ()).field(mesh)) == pytest.approx(
         0.5 * 324.0, abs=1e-12
     )
     with pytest.raises(InvalidParameterError):
-        ic_vasculature_zones(mesh, 1.5, ())
+        ZonedVasculature(1.5, ())
 
 
 def test_zoned_vasculature_empty_list_is_uniform():
     mesh = build_mesh((-9, 9, -9, 9), 9)
-    assert np.all(ic_vasculature_zones(mesh, 0.2, []) == 0.2)
+    assert np.all(ZonedVasculature(0.2, []).field(mesh) == 0.2)
 
 
 def test_zoned_vasculature_disc_integral():
     mesh = build_mesh((-9, 9, -9, 9), 45)
     zone = ZoneSpec(center=(0.0, 0.0), radius=3.0, level=0.8)
-    field = ic_vasculature_zones(mesh, 0.2, [zone])
+    field = ZonedVasculature(0.2, [zone]).field(mesh)
     # lumped area of the disc vertices, measured independently
     indicator = SimulationState(
         0.0,
@@ -213,7 +212,7 @@ def test_zoned_vasculature_overlap_precedence():
         ZoneSpec(center=(0.0, 0.0), radius=4.0, level=0.9),
         ZoneSpec(center=(1.0, 0.0), radius=2.0, level=0.1),
     ]
-    field = ic_vasculature_zones(mesh, 0.3, zones)
+    field = ZonedVasculature(0.3, zones).field(mesh)
     idx = mesh.vertex_index(11, 10)  # (0.9, 0) lies in both discs
     assert field[idx] == 0.1
 
@@ -275,7 +274,7 @@ def test_zone_boxes_match_the_full_field(bounds, n_sub, diagonal):
     single = [[zone] for zone in vertex_zones(mesh)]
     for zones in (DEFAULT_ZONES, edge_zones(bounds, cell), *single):
         expected = full_field_zones(mesh, 0.4, zones)
-        np.testing.assert_array_equal(ic_vasculature_zones(mesh, 0.4, zones), expected)
+        np.testing.assert_array_equal(ZonedVasculature(0.4, zones).field(mesh), expected)
 
 
 @settings(max_examples=150, deadline=None)
@@ -300,7 +299,7 @@ def test_zone_boxes_match_the_full_field_on_random_discs(
         for u, v, r in discs
     ]
     np.testing.assert_array_equal(
-        ic_vasculature_zones(mesh, 0.1, zones), full_field_zones(mesh, 0.1, zones)
+        ZonedVasculature(0.1, zones).field(mesh), full_field_zones(mesh, 0.1, zones)
     )
 
 

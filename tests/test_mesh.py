@@ -20,7 +20,6 @@ from gbmsim import (
     assemble_stiffness,
     build_mesh,
     lumped_integral,
-    lumped_mass,
     scenario_surface_regularity,
     vascular_fraction,
 )
@@ -166,12 +165,12 @@ def triangle_lumped_mass(mesh):
 @pytest.mark.parametrize("bounds", [(-3.3, 7.1, 0.2, 9.9), (-9, 9, -9, 9)])
 def test_lumped_mass_bit_equal_to_triangle_accumulation(bounds, n_sub, diagonal):
     mesh = build_mesh(bounds, n_sub, diagonal=diagonal)
-    assert np.array_equal(lumped_mass(mesh), triangle_lumped_mass(mesh))
+    assert np.array_equal(mesh.lumped_weights, triangle_lumped_mass(mesh))
 
 
 def test_unit_square_corner_weights():
     mesh = build_mesh((0, 1, 0, 1), 1)
-    weights = lumped_mass(mesh)
+    weights = mesh.lumped_weights
     assert weights.sum() == pytest.approx(1.0, abs=1e-15)
     # diagonal corners touch both triangles, the others only one
     assert sorted(weights) == pytest.approx([1 / 6, 1 / 6, 1 / 3, 1 / 3])

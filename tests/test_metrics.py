@@ -15,17 +15,16 @@ from scipy.spatial import ConvexHull
 
 from gbmsim import (
     EmptyRegionError,
-    InvalidParameterError,
     SimulationError,
     SimulationState,
     ThresholdedRegion,
     build_mesh,
     compute_sample,
+    lumped_integral,
     max_radius,
     ring_quotient,
     surface_quotient,
     threshold_indicator,
-    total_density,
     tumor_area,
 )
 from gbmsim.metrics import _circumcircle, _hull, _row_end_points
@@ -371,28 +370,30 @@ def test_sq_disc_approaches_one_under_refinement():
     assert values[-1] == pytest.approx(1.0, abs=0.05)
 
 
-# --- density selectors ------------------------------------------------------
+# --- density integrals -------------------------------------------------------
 
-def test_total_density_selectors():
+def test_sample_densities_are_lumped_integrals():
     mesh = build_mesh((-9, 9, -9, 9), 6)
     state = state_on(mesh, t=1.0, n=0.25, phi=0.5)
-    assert total_density(state, mesh, "T") == pytest.approx(324.0, abs=1e-12)
-    assert total_density(state, mesh, "T+N") == pytest.approx(
-        total_density(state, mesh, "T") + total_density(state, mesh, "N"),
-        abs=1e-12,
+    sample = compute_sample(state, mesh)
+    total = state.t_field + state.n_field
+    assert sample.tumor_density == lumped_integral(mesh, state.t_field)
+    assert sample.total_tn_density == lumped_integral(mesh, total)
+    assert sample.phi_density == lumped_integral(mesh, state.phi_field)
+    assert sample.tumor_density == pytest.approx(324.0, abs=1e-12)
+    assert sample.total_tn_density == pytest.approx(
+        sample.tumor_density + lumped_integral(mesh, state.n_field), abs=1e-12
     )
-    assert total_density(state, mesh, "Phi") == pytest.approx(162.0, abs=1e-12)
+    assert sample.phi_density == pytest.approx(162.0, abs=1e-12)
+    assert sample.rq == ring_quotient(state, mesh)
 
 
 def test_total_density_zero_state():
     mesh = build_mesh((-9, 9, -9, 9), 4)
-    assert total_density(state_on(mesh), mesh, "T") == 0.0
-
-
-def test_total_density_unknown_selector():
-    mesh = build_mesh((0, 1, 0, 1), 2)
-    with pytest.raises(InvalidParameterError):
-        total_density(state_on(mesh), mesh, "Q")
+    state = state_on(mesh)
+    sample = compute_sample(state, mesh)
+    assert sample.tumor_density == sample.total_tn_density == 0.0
+    assert sample.rq == ring_quotient(state, mesh) == 1.0
 
 
 # --- composed sample ---------------------------------------------------------
