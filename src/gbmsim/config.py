@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .errors import ConfigError, InvalidParameterError, SimulationError
+from .errors import ConfigError, SimulationError
 from .experiments import (
     DEFAULT_BOUNDS,
     DEFAULT_N_SUB,
@@ -165,8 +165,6 @@ def _resolve(found: dict) -> RunConfig:
             merged = {**dict(enumerate(default or ())), **values}
             kwargs[name] = tuple(merged[slot] for slot in sorted(merged))
     config = RunConfig(**kwargs)
-    if config.n_sub < 1:
-        raise InvalidParameterError("n_sub must be >= 1")
     check_threshold(config.theta)
     homogeneous_start(config.ode_initial)
     config.to_scenario()

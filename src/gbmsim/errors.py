@@ -22,12 +22,14 @@ def check_finite(name, value, error=InvalidParameterError):
 
 
 class SolverFailure(SimulationError, RuntimeError):
-    """Linear solve did not converge within the iteration budget.
+    """A run could not go on: the tumor CG solve spent its iteration budget
+    or stalled (a non-SPD matrix or non-finite input), or the homogeneous
+    trajectory of ``run_homogeneous`` overflowed.
 
     Attributes
     ----------
     residual : float
-        Relative residual at abort time.
+        Relative residual at abort time (NaN for an overflow).
     iterations : int
         Iterations spent.
     step_index : int or None

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, check_finite
 from .kinetics import DimensionlessParameters
-from .mesh import StructuredTriMesh, build_mesh, check_bounds
+from .mesh import StructuredTriMesh, build_mesh, check_bounds, check_n_sub
 from .metrics import DEFAULT_THRESHOLD
 from .solver import MetricsSample, RunResult, SimulationState, SolverConfig, run
 
@@ -72,14 +72,21 @@ class BumpSpec:
         if not self.radius > 0.0:
             raise InvalidParameterError(f"bump radius must be positive, got {self.radius!r}")
         check_finite("bump radius", self.radius)
+        for value in self.center:
+            check_finite("tumor center", value)
         if not 0.0 < self.peak <= 1.0:
             raise InvalidParameterError(f"bump peak must lie in (0, 1], got {self.peak!r}")
 
+    def check_within(self, bounds) -> None:
+        """Reject a center outside the rectangle (xmin, xmax, ymin, ymax)."""
+        xmin, xmax, ymin, ymax = bounds
+        cx, cy = self.center
+        if not (xmin <= cx <= xmax and ymin <= cy <= ymax):
+            raise InvalidParameterError(f"tumor center {self.center} outside domain {bounds}")
+
     def field(self, mesh: StructuredTriMesh) -> np.ndarray:
         """The bump at the mesh's vertices; the center must lie in the domain."""
-        cx, cy = self.center
-        if not (mesh.xmin <= cx <= mesh.xmax and mesh.ymin <= cy <= mesh.ymax):
-            raise InvalidParameterError(f"center {self.center!r} lies outside the domain")
+        self.check_within((mesh.xmin, mesh.xmax, mesh.ymin, mesh.ymax))
         field = np.zeros((mesh.n_sub + 1,) * 2)
         box, dist_sq = _disc_box(mesh, self.center, self.radius)
         inside = dist_sq <= self.radius * self.radius
@@ -168,16 +175,13 @@ class Scenario:
 
     def __post_init__(self):
         check_bounds(*self.bounds)
+        check_n_sub(self.n_sub)
         if not 0.0 <= self.necrosis_level <= 1.0:
             raise InvalidParameterError(
                 f"necrosis level must lie in [0, 1], got {self.necrosis_level!r}"
             )
+        self.tumor_ic.check_within(self.bounds)
         xmin, xmax, ymin, ymax = self.bounds
-        cx, cy = self.tumor_ic.center
-        if not (xmin <= cx <= xmax and ymin <= cy <= ymax):
-            raise InvalidParameterError(
-                f"tumor center {self.tumor_ic.center} outside domain {self.bounds}"
-            )
         for zone in self.vasculature_ic.zones:
             (zx, zy), r = zone.center, zone.radius
             if not (

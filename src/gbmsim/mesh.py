@@ -23,6 +23,7 @@ __all__ = [
     "StructuredTriMesh",
     "build_mesh",
     "check_bounds",
+    "check_n_sub",
     "assemble_stiffness",
     "lumped_integral",
 ]
@@ -49,8 +50,7 @@ class StructuredTriMesh:
     diagonal: str = "main"
 
     def __post_init__(self):
-        if self.n_sub < 1:
-            raise MeshError(f"n_sub must be >= 1, got {self.n_sub}")
+        check_n_sub(self.n_sub)
         check_bounds(self.xmin, self.xmax, self.ymin, self.ymax)
         if self.diagonal not in ("main", "anti"):
             raise MeshError(f"diagonal must be 'main' or 'anti', got {self.diagonal!r}")
@@ -148,6 +148,12 @@ def build_mesh(bounds, n_sub: int, diagonal: str = "main") -> StructuredTriMesh:
     """
     xmin, xmax, ymin, ymax = (float(b) for b in bounds)
     return StructuredTriMesh(xmin, xmax, ymin, ymax, n_sub, diagonal)
+
+
+def check_n_sub(n_sub) -> None:
+    """Reject a grid with no subinterval per edge."""
+    if n_sub < 1:
+        raise MeshError(f"n_sub must be >= 1, got {n_sub}")
 
 
 def check_bounds(xmin, xmax, ymin, ymax) -> None:

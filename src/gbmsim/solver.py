@@ -137,10 +137,11 @@ def solve_spd(matrix, rhs, tol: float = SolverConfig.cg_tolerance,
               max_iter: int = SolverConfig.cg_max_iterations, x0=None):
     """Jacobi-preconditioned conjugate gradients for an SPD sparse system.
 
-    Guarantees ||A x - b|| / ||b|| <= tol on return (the true residual is
-    re-checked, and the iteration restarted if the recurrence drifted).
-    Deterministic for fixed inputs.  Raises :class:`SolverFailure` when the
-    iteration budget is exhausted.
+    Guarantees ||A x - b|| / ||b|| <= tol on return and is deterministic.
+    A retry loop runs CG cycles; after each, one verdict on the true residual
+    accepts, restarts from it (the recurrence drifted), or raises
+    :class:`SolverFailure`: the ``max_iter`` budget is spent, or CG stalled
+    (r.z or p.Ap not positive: a non-SPD matrix, or non-finite input).
 
     ``x0`` is one previous solution or a stack of them, newest first (zero
     when omitted; :func:`run` passes four).  CG starts from the Galerkin
@@ -167,25 +168,21 @@ def solve_spd(matrix, rhs, tol: float = SolverConfig.cg_tolerance,
     if x0 is None:
         x0 = np.zeros_like(rhs)
     x, r = _galerkin_start(matrix, b, np.atleast_2d(x0) / b_norm)
-    if math.sqrt(r @ r) <= tol:
-        r = b - matrix @ x  # accept only on the true residual
     z = np.empty_like(b)
-
     iterations = 0
     while True:
-        # r holds the true residual of the normalized system at this point,
-        # or the projected one while that is still above tol.
-        if math.sqrt(r @ r) <= tol:
-            x *= b_norm
-            return x
-        if iterations >= max_iter:
-            break
-
-        np.multiply(inv_diag, r, out=z)
-        rz = float(r @ z)
-        p = z.copy()
-        stalled = False
-        while iterations < max_iter:
+        # One CG cycle from r: the projected residual at the start, the true
+        # one on a restart.  "not <=" also ends it on a NaN residual.
+        p, stalled = None, False
+        while not math.sqrt(r @ r) <= tol and iterations < max_iter:
+            np.multiply(inv_diag, r, out=z)
+            rz_new = float(r @ z)
+            if p is None:
+                p = z.copy()
+            else:
+                p *= rz_new / rz
+                p += z
+            rz = rz_new
             ap = matrix @ p
             pap = float(p @ ap)
             if not pap > 0.0 or not rz > 0.0:
@@ -195,30 +192,19 @@ def solve_spd(matrix, rhs, tol: float = SolverConfig.cg_tolerance,
             x += alpha * p
             r -= alpha * ap
             iterations += 1
-            if math.sqrt(r @ r) <= tol:
-                break
-            np.multiply(inv_diag, r, out=z)
-            rz_new = float(r @ z)
-            p *= rz_new / rz
-            p += z
-            rz = rz_new
 
-        # Re-derive the true residual before accepting or retrying; the
-        # recurrence residual can drift.
+        # The one verdict, on the true residual: the recurrence can drift.
         r = b - matrix @ x
-        if stalled:
-            if math.sqrt(r @ r) <= tol:
-                x *= b_norm
-                return x
-            break
-
-    residual = math.sqrt(r @ r)
-    raise SolverFailure(
-        f"conjugate gradients stalled at relative residual {residual:.3e} "
-        f"after {iterations} iterations",
-        residual=residual,
-        iterations=iterations,
-    )
+        residual = math.sqrt(r @ r)
+        if residual <= tol:
+            return x * b_norm
+        if stalled or iterations >= max_iter:
+            raise SolverFailure(
+                f"conjugate gradients stalled at relative residual {residual:.3e} "
+                f"after {iterations} iterations",
+                residual=residual,
+                iterations=iterations,
+            )
 
 
 def _galerkin_start(matrix, b, basis):

@@ -125,7 +125,7 @@ SURFACE = "[ic]\nscenario=surface\n"
     ("[solver]\ndt=fast\n", 2, "expected a number, got 'fast'"),
     ("[mesh]\nn_sub=many\n", 2, "expected an integer, got 'many'"),
     ("[solver]\nmetrics_every=1.5\n", 2, "expected an integer, got '1.5'"),
-    ("[mesh]\nn_sub=0\n", 2, "n_sub must be >= 1"),
+    ("[mesh]\nn_sub=0\n", 2, "n_sub must be >= 1, got 0"),
     ("[ic]\nscenario=square\n", 2,
      "scenario must be 'ring' or 'surface', got 'square'"),
     ("[output]\nvtk=maybe\n", 2, "expected a boolean, got 'maybe'"),
@@ -169,6 +169,7 @@ SURFACE = "[ic]\nscenario=surface\n"
     ("[mesh]\nxmin=1\n", None,
      "tumor center (0.0, 0.0) outside domain (1.0, 9.0, -9.0, 9.0)"),
     ("[mesh]\nxmin=inf\n", None, "xmin must be finite, got inf"),
+    ("[ic]\ntumor_center_x=nan\n", None, "tumor center must be finite, got nan"),
     ("[mesh]\nxmax=-10\n", None, "degenerate bounds (-9.0, -10.0, -9.0, 9.0)"),
     (SURFACE + "zone1=8, 0, 2, 0.5\n", None,
      "zone ZoneSpec(center=(8.0, 0.0), radius=2.0, level=0.5) does not lie "

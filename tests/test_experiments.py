@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gbmsim import (
     BumpSpec,
     InvalidParameterError,
+    MeshError,
     PARAMETER_RANGES,
     ZoneSpec,
     ZonedVasculature,
@@ -169,9 +170,24 @@ def test_tumor_bump_box_matches_the_full_field_on_random_discs(
 
 
 def test_tumor_ic_rejects_outside_center():
+    # the bump and the scenario give one message for one rule
     mesh = build_mesh((-9, 9, -9, 9), 10)
-    with pytest.raises(InvalidParameterError):
+    message = r"^tumor center \(12.0, 0.0\) outside domain \(-9.0, 9.0, -9.0, 9.0\)$"
+    with pytest.raises(InvalidParameterError, match=message):
         BumpSpec((12.0, 0.0), 3.0, 0.5).field(mesh)
+    with pytest.raises(InvalidParameterError, match=message):
+        replace(scenario_ring_width(), tumor_ic=BumpSpec((12.0, 0.0)))
+
+
+@pytest.mark.parametrize("center", [(float("nan"), 0.0), (0.0, float("inf"))])
+def test_tumor_ic_rejects_non_finite_center(center):
+    with pytest.raises(InvalidParameterError, match="^tumor center must be finite"):
+        BumpSpec(center)
+
+
+def test_scenario_rejects_empty_grid_when_built():
+    with pytest.raises(MeshError, match="^n_sub must be >= 1, got 0$"):
+        replace(scenario_ring_width(), n_sub=0)
 
 
 def test_uniform_vasculature_levels():

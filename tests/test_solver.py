@@ -119,6 +119,44 @@ def test_solve_spd_stalls_on_an_indefinite_matrix():
     assert info.value.residual == 1.0
 
 
+@pytest.mark.parametrize("rhs, x0", [
+    ([np.nan, 1.0], None),
+    ([1.0, 1.0], [np.nan, 0.0]),
+], ids=["rhs", "x0"])
+def test_solve_spd_rejects_non_finite_input(rhs, x0):
+    with pytest.raises(SolverFailure) as info:
+        solve_spd(sparse.diags([2.0, 4.0]).tocsr(), np.array(rhs), x0=x0)
+    assert info.value.iterations == 0
+    assert np.isnan(info.value.residual)
+
+
+class DriftingMatrix(CountingMatrix):
+    """Counting proxy whose first ``drifting`` products are off by a relative
+    1e-6, so the CG recurrence residual drifts from the true one."""
+
+    def __init__(self, matrix, drifting):
+        super().__init__(matrix)
+        self.drifting = drifting
+
+    def __matmul__(self, x):
+        product = super().__matmul__(x)
+        return product * (1.0 + 1e-6) if self.matvecs <= self.drifting else product
+
+
+def test_solve_spd_restarts_when_the_recurrence_drifts():
+    # The drifted cycle meets tol on its recurrence residual only; the true
+    # residual check rejects it, and a second cycle from the true residual
+    # meets tol against the exact matrix.
+    rng = np.random.default_rng(7)
+    matrix = random_spd(rng, 30)
+    b = rng.standard_normal(30)
+    exact, drifting = CountingMatrix(matrix), DriftingMatrix(matrix, 3)
+    solve_spd(exact, b, tol=1e-10)
+    x = solve_spd(drifting, b, tol=1e-10)
+    assert np.linalg.norm(matrix @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert drifting.matvecs > exact.matvecs
+
+
 def test_solve_spd_leaves_inputs_unmodified():
     _check_inputs_unmodified((25,))
 
