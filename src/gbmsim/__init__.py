@@ -34,7 +34,6 @@ from .mesh import (
 from .metrics import (
     DEFAULT_THRESHOLD,
     MetricsSample,
-    ThresholdedRegion,
     compute_sample,
     max_radius,
     ring_quotient,

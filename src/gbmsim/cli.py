@@ -21,7 +21,7 @@ from .experiments import (
     PARAMETER_RANGES,
     sweep_runs,
 )
-from .output import write_metrics_csv, write_snapshot, write_trajectory_csv
+from .output import _column, write_metrics_csv, write_snapshot, write_trajectory_csv
 from .solver import run, run_homogeneous
 
 __all__ = ["main", "entry"]
@@ -65,8 +65,9 @@ def _load_config(path: str | None) -> RunConfig:
 def _write_run_outputs(result, out_dir: Path, vtk: bool) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(result.metrics, out_dir / "metrics.csv")
+    # Each name is its time as metrics.csv's t column writes it, so it is unique.
     for state in result.snapshots:
-        name = f"snapshot_t{state.time:.6f}.csv"
+        name = f"snapshot_t{_column([state.time])[0]}.csv"
         write_snapshot(state, result.mesh, out_dir / name, vtk=vtk)
 
 

@@ -214,8 +214,9 @@ def _disc_box(mesh: StructuredTriMesh, center, radius: float):
     axes = ((center[1], mesh.ymin, mesh.ymax), (center[0], mesh.xmin, mesh.xmax))
     for c, lo, hi in axes:
         h = (hi - lo) / (m - 1)
-        ends = (int((c - radius - lo) / h) - 1, int((c + radius - lo) / h) + 2)
-        box.append(slice(*(min(max(end, 0), m) for end in ends)))
+        # Clip in floating point before int(): a huge radius gives infinite ends.
+        ends = ((c - radius - lo) / h - 1.0, (c + radius - lo) / h + 2.0)
+        box.append(slice(*(int(min(max(end, 0.0), m)) for end in ends)))
     rows, cols = box
     dx = mesh.vertices[:m, 0][cols] - center[0]
     dy = mesh.vertices[::m, 1][rows, None] - center[1]

@@ -1,10 +1,10 @@
 """Morphometric observables of a simulation state.
 
 Ring quotient (proliferative fraction of the total tumor mass), thresholded
-tumor region, its lumped area, the radius of its smallest enclosing circle,
-and the surface quotient (area over enclosing-disc area).  All functions are
-pure and operate on immutable snapshots, so they are safe to call
-concurrently.
+tumor region (the indices of its vertices), its lumped area, the radius of the
+smallest circle enclosing a point set, and the surface quotient (area over
+enclosing-disc area).  All functions are pure and operate on immutable
+snapshots, so they are safe to call concurrently.
 
 On coarse meshes the surface quotient can exceed 1 because the thresholded
 region is measured through vertex lumped weights while the enclosing radius
@@ -30,7 +30,6 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "check_threshold",
     "MetricsSample",
-    "ThresholdedRegion",
     "ring_quotient",
     "threshold_indicator",
     "tumor_area",
@@ -59,8 +58,8 @@ class MetricsSample:
     """One time point of the observable set.
 
     ``sq`` and ``r_max`` are NaN when the thresholded region is empty (a
-    vanished tumor has no meaningful shape); ``rq`` falls back to 1 in that
-    case, matching its value for a purely proliferative seed.
+    vanished tumor has no meaningful shape).  ``rq`` falls back to 1 only
+    when the integral of T + N is exactly 0 (see :func:`ring_quotient`).
     """
 
     time: float
@@ -71,17 +70,6 @@ class MetricsSample:
     tumor_density: float
     total_tn_density: float
     phi_density: float
-
-
-@dataclass(frozen=True)
-class ThresholdedRegion:
-    """Vertices where the total tumor density reaches the threshold."""
-
-    indices: np.ndarray
-    coordinates: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
 
 
 def ring_quotient(state, mesh: StructuredTriMesh) -> float:
@@ -106,30 +94,28 @@ def _quotient(tumor: float, total: float) -> float:
     return tumor / total
 
 
-def threshold_indicator(
-    state, mesh: StructuredTriMesh, theta: float = DEFAULT_THRESHOLD
-) -> ThresholdedRegion:
-    """Vertices with T + N >= theta (inclusive)."""
-    return _region(state.t_field + state.n_field, mesh, theta)
+def threshold_indicator(state, theta: float = DEFAULT_THRESHOLD) -> np.ndarray:
+    """Sorted indices of the vertices with T + N >= theta (inclusive)."""
+    return _region(state.t_field + state.n_field, theta)
 
 
-def _region(total, mesh: StructuredTriMesh, theta: float) -> ThresholdedRegion:
-    """Vertices where the field ``total`` (T + N) reaches theta."""
-    indices = np.flatnonzero(total >= theta)
-    return ThresholdedRegion(indices=indices, coordinates=mesh.vertices[indices])
+def _region(total, theta: float) -> np.ndarray:
+    """Sorted indices of the vertices where the field ``total`` (T + N)
+    reaches theta, which must be positive and finite."""
+    check_threshold(theta)
+    return np.flatnonzero(total >= theta)
 
 
-def tumor_area(region: ThresholdedRegion, mesh: StructuredTriMesh) -> float:
-    """Lumped area of the thresholded region (0 for an empty region)."""
-    return float(mesh.lumped_weights[region.indices].sum())
+def tumor_area(indices, mesh: StructuredTriMesh) -> float:
+    """Lumped area of the vertices ``indices`` (0 for none)."""
+    return float(mesh.lumped_weights[indices].sum())
 
 
-def max_radius(region: ThresholdedRegion) -> float:
-    """Radius of the smallest circle enclosing the region's vertices."""
-    if len(region) == 0:
+def max_radius(points) -> float:
+    """Radius of the smallest circle enclosing the (n, 2) array ``points``."""
+    if len(points) == 0:
         raise EmptyRegionError("cannot enclose an empty region")
-    circle = _smallest_enclosing_circle(region.coordinates)
-    return circle[2]
+    return _smallest_enclosing_circle(points)[2]
 
 
 def surface_quotient(
@@ -142,10 +128,9 @@ def surface_quotient(
     perfectly regular (returns 1).  An empty region is an error; report a
     vanished tumor upstream instead of assigning it a regularity.
     """
-    region = threshold_indicator(state, mesh, theta)
-    if len(region) == 0:
-        raise EmptyRegionError("thresholded region is empty")
-    return _regularity(tumor_area(region, mesh), max_radius(region), mesh)
+    region = threshold_indicator(state, theta)
+    radius = max_radius(mesh.vertices[region])
+    return _regularity(tumor_area(region, mesh), radius, mesh)
 
 
 def _regularity(area: float, radius: float, mesh: StructuredTriMesh) -> float:
@@ -160,13 +145,13 @@ def compute_sample(
 ) -> MetricsSample:
     """Evaluate the full observable set for one state."""
     total = state.t_field + state.n_field
-    region = _region(total, mesh, theta)
+    region = _region(total, theta)
     area = tumor_area(region, mesh)
     if len(region) == 0:
         sq = float("nan")
         r_max = float("nan")
     else:
-        r_max = max_radius(region)
+        r_max = max_radius(mesh.vertices[region])
         sq = _regularity(area, r_max, mesh)
     tumor_density = lumped_integral(mesh, state.t_field)
     total_tn_density = lumped_integral(mesh, total)

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import InvalidParameterError, SolverFailure, check_finite
 from .kinetics import DimensionlessParameters, FieldTriple, vascular_fraction
 from .mesh import StructuredTriMesh, assemble_stiffness
-from .metrics import DEFAULT_THRESHOLD, MetricsSample, check_threshold, compute_sample
+from .metrics import DEFAULT_THRESHOLD, MetricsSample, compute_sample
 
 __all__ = [
     "SolverConfig",
@@ -71,8 +71,7 @@ class SolverConfig:
     metrics_every: int = 1_000
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise InvalidParameterError(f"dt must be positive, got {self.dt!r}")
+        _check_dt(self.dt)
         if not self.t_final >= 0.0:
             raise InvalidParameterError(
                 f"t_final must be nonnegative, got {self.t_final!r}"
@@ -87,6 +86,13 @@ class SolverConfig:
             raise InvalidParameterError("cadences must be >= 1")
         for item in fields(self):
             check_finite(item.name, getattr(self, item.name))
+
+
+def _check_dt(dt: float) -> None:
+    """Reject a time step that is not positive and finite."""
+    if not dt > 0.0:
+        raise InvalidParameterError(f"dt must be positive, got {dt!r}")
+    check_finite("dt", dt)
 
 
 @dataclass
@@ -199,9 +205,10 @@ def solve_spd(matrix, rhs, tol: float = SolverConfig.cg_tolerance,
         if residual <= tol:
             return x * b_norm
         if stalled or iterations >= max_iter:
+            verdict = "stalled after" if stalled else "did not converge in"
             raise SolverFailure(
-                f"conjugate gradients stalled at relative residual {residual:.3e} "
-                f"after {iterations} iterations",
+                f"conjugate gradients {verdict} {iterations} iterations "
+                f"(relative residual {residual:.3e})",
                 residual=residual,
                 iterations=iterations,
             )
@@ -237,8 +244,10 @@ def step(
 
     ``guess`` is the tumor solve's ``x0``: one field or a stack of previous
     tumor fields, newest first (see :func:`solve_spd`).  It defaults to the
-    old tumor field and changes only the iteration count.
+    old tumor field and changes only the iteration count.  ``dt`` is checked
+    as in :class:`SolverConfig`.
     """
+    _check_dt(dt)
     t_old = state.t_field
     n_old = state.n_field
     phi_old = state.phi_field
@@ -327,7 +336,6 @@ def run(scenario, config: SolverConfig | None = None,
     matrix.  While the fields move smoothly the solution lies close to their
     span, so CG needs fewer iterations to the same tolerance.
     """
-    check_threshold(theta)
     if config is None:
         config = scenario.solver
     mesh = scenario.build_mesh()

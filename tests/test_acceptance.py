@@ -480,10 +480,7 @@ def test_criterion_10_metrics_oracles():
     for _ in range(200):
         n = int(rng.integers(1, 51))
         pts = rng.uniform(-9.0, 9.0, size=(n, 2))
-        region = g.ThresholdedRegion(
-            indices=np.arange(n), coordinates=pts
-        )
-        gap = abs(g.max_radius(region) - brute_force_enclosing_radius(pts))
+        gap = abs(g.max_radius(pts) - brute_force_enclosing_radius(pts))
         worst = max(worst, gap)
     circles_ok = worst <= 1e-10
 

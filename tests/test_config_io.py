@@ -495,6 +495,39 @@ def test_cli_run_writes_outputs(tmp_path):
     assert len(snapshots) == 3  # steps 0, 5, 10
 
 
+def test_cli_run_names_each_snapshot_by_its_exact_time(tmp_path):
+    # The six times agree to six decimals, so no coarser format tells them apart.
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "[mesh]\nn_sub = 4\n[solver]\ndt = 1e-7\nt_final = 5e-7\n"
+        "snapshot_every = 1\nmetrics_every = 1\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    names = sorted(
+        path.name.removeprefix("snapshot_t").removesuffix(".csv")
+        for path in out.glob("snapshot_t*.csv")
+    )
+    assert sorted(map(float, names)) == [k * 1e-7 for k in range(6)]
+    # each name is the text of its row's t column in metrics.csv
+    rows = (out / "metrics.csv").read_text().splitlines()[1:]
+    assert sorted(row.split(",")[0] for row in rows) == names
+
+
+def test_cli_run_with_a_huge_tumor_radius_seeds_every_vertex(tmp_path):
+    # radius / cell edge = 2e308 overflows to inf before the box is clipped
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "[mesh]\nn_sub = 4\nxmin = -1\nxmax = 1\nymin = -1\nymax = 1\n"
+        "[solver]\nt_final = 0.002\n[ic]\ntumor_radius = 1e308\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    rows = (out / "snapshot_t0.0.csv").read_text().splitlines()[1:]
+    assert len(rows) == 25
+    assert all(float(row.split(",")[2]) == 0.5 for row in rows)
+
+
 def test_cli_run_deterministic(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(SMALL_RUN)

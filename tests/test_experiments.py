@@ -169,6 +169,13 @@ def test_tumor_bump_box_matches_the_full_field_on_random_discs(
     )
 
 
+@pytest.mark.parametrize("radius", [1e300, 1e308])
+def test_tumor_bump_with_a_huge_radius_is_its_peak_everywhere(radius):
+    # At 1e308 both ends of the box are infinite before they are clipped.
+    mesh = build_mesh((-9, 9, -9, 9), 45)
+    assert np.all(BumpSpec(radius=radius).field(mesh) == 0.5)
+
+
 def test_tumor_ic_rejects_outside_center():
     # the bump and the scenario give one message for one rule
     mesh = build_mesh((-9, 9, -9, 9), 10)
@@ -217,7 +224,7 @@ def test_zoned_vasculature_disc_integral():
         np.zeros(mesh.num_vertices),
         np.zeros(mesh.num_vertices),
     )
-    disc_area = tumor_area(threshold_indicator(indicator, mesh, 0.5), mesh)
+    disc_area = tumor_area(threshold_indicator(indicator, 0.5), mesh)
     expected = 0.2 * 324.0 + 0.6 * disc_area
     assert lumped_integral(mesh, field) == pytest.approx(expected, abs=1e-10)
 

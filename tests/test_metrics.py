@@ -15,19 +15,20 @@ from scipy.spatial import ConvexHull
 
 from gbmsim import (
     EmptyRegionError,
+    InvalidParameterError,
     SimulationError,
     SimulationState,
-    ThresholdedRegion,
     build_mesh,
     compute_sample,
     lumped_integral,
     max_radius,
     ring_quotient,
+    scenario_ring_width,
     surface_quotient,
     threshold_indicator,
     tumor_area,
 )
-from gbmsim.metrics import _circumcircle, _hull, _row_end_points
+from gbmsim.metrics import _circumcircle, _hull, _row_end_points, check_threshold
 
 
 def state_on(mesh, t=0.0, n=0.0, phi=0.0):
@@ -41,10 +42,7 @@ def state_on(mesh, t=0.0, n=0.0, phi=0.0):
 
 
 def region_of(points):
-    points = np.asarray(points, dtype=float)
-    return ThresholdedRegion(
-        indices=np.arange(len(points)), coordinates=points
-    )
+    return np.asarray(points, dtype=float).reshape(-1, 2)
 
 
 def brute_force_radius(points):
@@ -153,8 +151,8 @@ def test_rq_in_unit_interval_for_nonnegative_fields():
 
 def test_threshold_empty_and_full():
     mesh = build_mesh((-9, 9, -9, 9), 5)
-    assert len(threshold_indicator(state_on(mesh), mesh)) == 0
-    full = threshold_indicator(state_on(mesh, t=0.5), mesh)
+    assert len(threshold_indicator(state_on(mesh))) == 0
+    full = threshold_indicator(state_on(mesh, t=0.5))
     assert len(full) == mesh.num_vertices
 
 
@@ -162,8 +160,8 @@ def test_threshold_is_inclusive():
     mesh = build_mesh((0, 1, 0, 1), 1)
     state = state_on(mesh)
     state.t_field[2] = 0.001
-    region = threshold_indicator(state, mesh)
-    assert list(region.indices) == [2]
+    region = threshold_indicator(state)
+    assert list(region) == [2]
 
 
 def test_threshold_monotone_in_theta():
@@ -172,7 +170,7 @@ def test_threshold_monotone_in_theta():
     state = state_on(mesh)
     state.t_field[:] = rng.random(mesh.num_vertices) * 0.01
     areas = [
-        tumor_area(threshold_indicator(state, mesh, theta), mesh)
+        tumor_area(threshold_indicator(state, theta), mesh)
         for theta in (0.008, 0.004, 0.002, 0.001)
     ]
     assert all(a <= b + 1e-15 for a, b in zip(areas, areas[1:]))
@@ -180,8 +178,8 @@ def test_threshold_monotone_in_theta():
 
 def test_area_empty_and_full():
     mesh = build_mesh((-9, 9, -9, 9), 5)
-    assert tumor_area(threshold_indicator(state_on(mesh), mesh), mesh) == 0.0
-    full = threshold_indicator(state_on(mesh, t=1.0), mesh)
+    assert tumor_area(threshold_indicator(state_on(mesh)), mesh) == 0.0
+    full = threshold_indicator(state_on(mesh, t=1.0))
     assert tumor_area(full, mesh) == pytest.approx(324.0, abs=1e-12)
 
 
@@ -189,8 +187,24 @@ def test_area_single_interior_vertex():
     mesh = build_mesh((-9, 9, -9, 9), 45)
     state = state_on(mesh)
     state.t_field[mesh.vertex_index(20, 20)] = 0.001
-    region = threshold_indicator(state, mesh)
+    region = threshold_indicator(state)
     assert tumor_area(region, mesh) == pytest.approx(0.16, abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("observable", [
+    lambda state, mesh, theta: threshold_indicator(state, theta),
+    surface_quotient,
+    compute_sample,
+], ids=["threshold_indicator", "surface_quotient", "compute_sample"])
+def test_metrics_reject_theta_like_the_config(observable, theta):
+    scenario = scenario_ring_width()
+    mesh = scenario.build_mesh()
+    with pytest.raises(InvalidParameterError) as expected:
+        check_threshold(theta)
+    with pytest.raises(InvalidParameterError) as info:
+        observable(scenario.initial_state(mesh), mesh, theta)
+    assert str(info.value) == str(expected.value)
 
 
 # --- smallest enclosing circle ---------------------------------------------

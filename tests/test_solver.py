@@ -109,6 +109,9 @@ def test_solve_spd_iteration_budget():
                   tol=1e-14, max_iter=2)
     assert info.value.iterations == 2
     assert info.value.residual > 0
+    assert str(info.value).startswith(
+        "conjugate gradients did not converge in 2 iterations (relative residual "
+    )
 
 
 def test_solve_spd_stalls_on_an_indefinite_matrix():
@@ -117,6 +120,9 @@ def test_solve_spd_stalls_on_an_indefinite_matrix():
         solve_spd(sparse.csr_matrix(np.diag([1.0, -1.0])), np.array([0.0, 1.0]))
     assert info.value.iterations == 0
     assert info.value.residual == 1.0
+    assert str(info.value) == (
+        "conjugate gradients stalled after 0 iterations (relative residual 1.000e+00)"
+    )
 
 
 @pytest.mark.parametrize("rhs, x0", [
@@ -289,6 +295,16 @@ def test_step_rejects_guess_of_wrong_length():
 
 def test_step_rejects_stacked_guess_of_wrong_length():
     _check_guess_rejected((3, 5))
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
+def test_step_rejects_dt_like_the_solver_config(dt):
+    mesh = build_mesh((0, 1, 0, 1), 3)
+    with pytest.raises(InvalidParameterError) as config_info:
+        SolverConfig(dt=dt)
+    with pytest.raises(InvalidParameterError) as step_info:
+        step(uniform_state(mesh, t=0.1, phi=0.5), TABLE_PARAMS, mesh, dt)
+    assert str(step_info.value) == str(config_info.value)
 
 
 def _check_guess_rejected(shape):
