@@ -21,7 +21,9 @@ from .experiments import (
     PARAMETER_RANGES,
     sweep_runs,
 )
-from .output import _column, write_metrics_csv, write_snapshot, write_trajectory_csv
+from .output import (
+    snapshot_name, write_metrics_csv, write_snapshot, write_trajectory_csv
+)
 from .solver import run, run_homogeneous
 
 __all__ = ["main", "entry"]
@@ -65,15 +67,13 @@ def _load_config(path: str | None) -> RunConfig:
 def _write_run_outputs(result, out_dir: Path, vtk: bool) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(result.metrics, out_dir / "metrics.csv")
-    # Each name is its time as metrics.csv's t column writes it, so it is unique.
     for state in result.snapshots:
-        name = f"snapshot_t{_column([state.time])[0]}.csv"
-        write_snapshot(state, result.mesh, out_dir / name, vtk=vtk)
+        write_snapshot(state, result.mesh, out_dir / snapshot_name(state.time), vtk=vtk)
 
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
-    result = run(config.to_scenario(), config.solver, theta=config.theta)
+    result = run(config.to_scenario(), theta=config.theta)
     _write_run_outputs(result, Path(args.out), config.vtk)
     return 0
 
@@ -91,12 +91,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_ode(args) -> int:
     config = _load_config(args.config)
-    trajectory = run_homogeneous(
-        config.ode_initial,
-        config.params,
-        config.solver.dt,
-        config.solver.t_final,
-    )
+    trajectory = run_homogeneous(config.ode_initial, config.params, config.solver)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(
@@ -138,7 +133,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 2
     try:
         return _COMMANDS[args.command](args)
-    except (SimulationError, OSError, ValueError) as exc:
+    except (SimulationError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

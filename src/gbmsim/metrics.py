@@ -112,9 +112,15 @@ def tumor_area(indices, mesh: StructuredTriMesh) -> float:
 
 
 def max_radius(points) -> float:
-    """Radius of the smallest circle enclosing the (n, 2) array ``points``."""
+    """Radius of the smallest circle enclosing ``points``, a finite (n, 2)
+    array; an empty one raises :class:`EmptyRegionError`."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise InvalidParameterError(f"points must be (n, 2), got shape {points.shape}")
     if len(points) == 0:
         raise EmptyRegionError("cannot enclose an empty region")
+    if not np.isfinite(points).all():
+        raise InvalidParameterError("points must be finite")
     return _smallest_enclosing_circle(points)[2]
 
 

@@ -18,6 +18,7 @@ from .solver import SimulationState
 
 __all__ = [
     "METRICS_HEADER",
+    "snapshot_name",
     "write_metrics_csv",
     "write_snapshot",
     "write_trajectory_csv",
@@ -29,6 +30,12 @@ METRICS_HEADER = "t,rq,sq,area,r_max,int_T,int_TN,int_phi"
 def _column(values) -> list[str]:
     """The text of each value, as the repr of a Python float."""
     return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def snapshot_name(time: float) -> str:
+    """The CSV file name of the snapshot at ``time``: the time as the ``t``
+    column of a metrics CSV writes it, so distinct times get distinct names."""
+    return f"snapshot_t{_column([time])[0]}.csv"
 
 
 def _write_lines(path, lines) -> None:

@@ -58,9 +58,9 @@ UPPER_BOUND_TOL = 1e-6
 class SolverConfig:
     """Time-integration settings.
 
-    Every value is finite.  ``t_final`` may be zero (the run then only reports
-    the initial state).  Cadences are in steps; metrics are additionally
-    sampled at t = 0 and at the final step.
+    Every value is finite, and so is ``t_final / dt``.  ``t_final`` may be
+    zero (the run then only reports the initial state).  Cadences are in
+    steps; metrics are additionally sampled at t = 0 and at the final step.
     """
 
     dt: float = 1e-3
@@ -71,7 +71,8 @@ class SolverConfig:
     metrics_every: int = 1_000
 
     def __post_init__(self):
-        _check_dt(self.dt)
+        if not self.dt > 0.0:
+            raise InvalidParameterError(f"dt must be positive, got {self.dt!r}")
         if not self.t_final >= 0.0:
             raise InvalidParameterError(
                 f"t_final must be nonnegative, got {self.t_final!r}"
@@ -86,13 +87,12 @@ class SolverConfig:
             raise InvalidParameterError("cadences must be >= 1")
         for item in fields(self):
             check_finite(item.name, getattr(self, item.name))
+        check_finite("t_final / dt", self.t_final / self.dt)
 
-
-def _check_dt(dt: float) -> None:
-    """Reject a time step that is not positive and finite."""
-    if not dt > 0.0:
-        raise InvalidParameterError(f"dt must be positive, got {dt!r}")
-    check_finite("dt", dt)
+    @property
+    def n_steps(self) -> int:
+        """The number of steps from t = 0 to ``t_final``."""
+        return int(round(self.t_final / self.dt))
 
 
 @dataclass
@@ -234,20 +234,18 @@ def step(
     state: SimulationState,
     params: DimensionlessParameters,
     mesh: StructuredTriMesh,
-    dt: float,
-    cg_tolerance: float = SolverConfig.cg_tolerance,
-    cg_max_iterations: int = SolverConfig.cg_max_iterations,
+    config: SolverConfig = SolverConfig(),
     guess: np.ndarray | None = None,
 ) -> SimulationState:
     """Advance the state by one time step (see module docstring for the
     splitting).
 
+    It reads ``dt``, ``cg_tolerance`` and ``cg_max_iterations`` from ``config``.
     ``guess`` is the tumor solve's ``x0``: one field or a stack of previous
     tumor fields, newest first (see :func:`solve_spd`).  It defaults to the
-    old tumor field and changes only the iteration count.  ``dt`` is checked
-    as in :class:`SolverConfig`.
+    old tumor field and changes only the iteration count.
     """
-    _check_dt(dt)
+    dt = config.dt
     t_old = state.t_field
     n_old = state.n_field
     phi_old = state.phi_field
@@ -273,9 +271,8 @@ def step(
         mesh, params.kappa1 * p + 1.0, weights * (1.0 / dt + sink)
     )
     rhs = weights * (t_old / dt + gain)
-    t_new = solve_spd(
-        system, rhs, tol=cg_tolerance, max_iter=cg_max_iterations, x0=guess
-    )
+    t_new = solve_spd(system, rhs, tol=config.cg_tolerance,
+                      max_iter=config.cg_max_iterations, x0=guess)
 
     growth = params.gamma * t_new * lack
     phi_new = (phi_old + dt * growth * phi_old * crowd_pos) / (
@@ -341,7 +338,7 @@ def run(scenario, config: SolverConfig | None = None,
     mesh = scenario.build_mesh()
     state = scenario.initial_state(mesh)
 
-    n_steps = int(round(config.t_final / config.dt))
+    n_steps = config.n_steps
     violations: list[BoundViolation] = []
     metrics = [compute_sample(state, mesh, theta)]
     snapshots = [state]  # step allocates new fields and writes no old ones
@@ -350,13 +347,7 @@ def run(scenario, config: SolverConfig | None = None,
     for k in range(1, n_steps + 1):
         try:
             state = step(
-                state,
-                scenario.params,
-                mesh,
-                config.dt,
-                cg_tolerance=config.cg_tolerance,
-                cg_max_iterations=config.cg_max_iterations,
-                guess=np.array(history),
+                state, scenario.params, mesh, config, guess=np.array(history)
             )
         except SolverFailure as exc:
             raise SolverFailure(
@@ -393,19 +384,17 @@ def homogeneous_start(initial: FieldTriple) -> tuple[float, float, float]:
 def run_homogeneous(
     initial: FieldTriple,
     params: DimensionlessParameters,
-    dt: float,
-    t_final: float,
+    config: SolverConfig,
 ) -> HomogeneousTrajectory:
     """Integrate the space-free system with the same semi-implicit update as
     :func:`step`, minus diffusion.
 
-    The trajectory is sampled at every step.  ``dt`` and ``t_final`` are
-    checked as in :class:`SolverConfig`, and every ``initial`` component must
+    It reads ``dt`` and ``t_final`` (as ``n_steps``) from ``config``.  The
+    trajectory is sampled at every step, and every ``initial`` component must
     be finite.  Raises :class:`SolverFailure` on numeric overflow.
     """
-    SolverConfig(dt=dt, t_final=t_final)
     t, n, phi = homogeneous_start(initial)
-    n_steps = int(round(t_final / dt))
+    dt, n_steps = config.dt, config.n_steps
     times = dt * np.arange(n_steps + 1)
     t_out = np.empty(n_steps + 1)
     n_out = np.empty(n_steps + 1)

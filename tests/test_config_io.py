@@ -149,6 +149,7 @@ SURFACE = "[ic]\nscenario=surface\n"
     ("[params]\nkappa1=nan\n", 2, "kappa1 must be nonnegative, got nan"),
     ("[params]\nbeta1=-1\nalpha=-3\n", 3, "alpha must be nonnegative, got -3.0"),
     ("[solver]\ndt=0\n", 2, "dt must be positive, got 0.0"),
+    ("[solver]\ndt=1e-320\n", 2, "t_final / dt must be finite, got inf"),
     ("[solver]\nt_final=-1\n", 2, "t_final must be nonnegative, got -1.0"),
     ("[solver]\ncg_tolerance=1\n", 2, "cg_tolerance must lie in (0, 1), got 1.0"),
     ("[solver]\ncg_max_iterations=0\n", 2, "cg_max_iterations must be >= 1"),
@@ -210,7 +211,8 @@ def _run_with_infinite_theta():
 
 def _ode_with_nan_tumor():
     start = gbmsim.FieldTriple(math.nan, 0.0, 0.5)
-    gbmsim.run_homogeneous(start, gbmsim.DEFAULT_PARAMETERS, 0.001, 0.001)
+    config = gbmsim.SolverConfig(t_final=0.001)
+    gbmsim.run_homogeneous(start, gbmsim.DEFAULT_PARAMETERS, config)
 
 
 @pytest.mark.parametrize("text, call", [
@@ -646,6 +648,17 @@ def test_cli_ode_rejects_non_finite_initial_state(tmp_path, capsys, value):
     assert main(["ode", "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: line 2: initial t_density must be finite, got {value}\n"
+    assert not out.exists()
+
+
+def test_cli_ode_reports_a_horizon_too_long_to_allocate(tmp_path, capsys):
+    # 1e18 + 1 samples: the request fails at once and touches no memory
+    config = tmp_path / "ode.cfg"
+    config.write_text("[solver]\nt_final = 1e15\n")
+    out = tmp_path / "out"
+    assert main(["ode", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
 
 

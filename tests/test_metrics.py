@@ -229,6 +229,21 @@ def test_max_radius_empty_region_errors():
         max_radius(region_of(np.empty((0, 2))))
 
 
+@pytest.mark.parametrize("points, message", [
+    ([[math.nan, 0.0]], "points must be finite"),
+    ([[math.inf, 0.0], [0.0, 0.0]], "points must be finite"),
+    ([[0.0, 0.0, 5.0], [2.0, 0.0, 5.0], [0.0, 2.0, 5.0]],
+     r"points must be \(n, 2\), got shape \(3, 3\)"),
+    ([[0.0], [1.0]], r"points must be \(n, 2\), got shape \(2, 1\)"),
+    ([0.0, 1.0], r"points must be \(n, 2\), got shape \(2,\)"),
+])
+def test_max_radius_rejects_anything_but_finite_points_in_the_plane(
+    points, message
+):
+    with pytest.raises(InvalidParameterError, match=message):
+        max_radius(points)
+
+
 def test_max_radius_matches_brute_force_small_sets():
     rng = np.random.default_rng(9)
     for _ in range(40):

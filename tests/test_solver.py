@@ -226,7 +226,7 @@ def test_solve_spd_survives_tiny_scales():
 def test_step_equilibrium_without_tumor():
     mesh = build_mesh((-9, 9, -9, 9), 8)
     state = uniform_state(mesh, t=0.0, n=0.0, phi=0.37)
-    after = step(state, TABLE_PARAMS, mesh, 1e-3)
+    after = step(state, TABLE_PARAMS, mesh)
     assert np.all(after.t_field == 0.0)
     assert np.all(after.n_field == 0.0)
     assert np.abs(after.phi_field - 0.37).max() == 0.0
@@ -236,7 +236,7 @@ def test_step_constant_implicit_decay():
     # uniform T with no vasculature: diffusion drops out, pure implicit sink
     mesh = build_mesh((-9, 9, -9, 9), 12)
     state = uniform_state(mesh, t=0.1)
-    after = step(state, TABLE_PARAMS, mesh, 1e-3, cg_tolerance=1e-13)
+    after = step(state, TABLE_PARAMS, mesh, SolverConfig(cg_tolerance=1e-13))
     assert np.abs(after.t_field - 0.1 / 1.045).max() <= 1e-12
 
 
@@ -250,7 +250,7 @@ def test_step_preserves_nonnegativity():
         phi_field=rng.random(mesh.num_vertices),
     )
     for _ in range(20):
-        state = step(state, TABLE_PARAMS, mesh, 1e-3)
+        state = step(state, TABLE_PARAMS, mesh)
         assert state.t_field.min() >= 0.0
         assert state.n_field.min() >= 0.0
         assert state.phi_field.min() >= 0.0
@@ -268,7 +268,7 @@ def test_step_necrosis_receives_exact_transfers():
     weights = mesh.lumped_weights
     for _ in range(10):
         before = state
-        state = step(before, TABLE_PARAMS, mesh, 1e-3)
+        state = step(before, TABLE_PARAMS, mesh)
         p = vascular_fraction(before.phi_field, before.t_field)
         lack = np.sqrt(1.0 - p * p)
         transfer = (
@@ -286,7 +286,7 @@ def test_step_rejects_mismatched_fields():
     mesh = build_mesh((0, 1, 0, 1), 3)
     bad = SimulationState(0.0, np.zeros(5), np.zeros(5), np.zeros(5))
     with pytest.raises(Exception):
-        step(bad, TABLE_PARAMS, mesh, 1e-3)
+        step(bad, TABLE_PARAMS, mesh)
 
 
 def test_step_rejects_guess_of_wrong_length():
@@ -297,21 +297,23 @@ def test_step_rejects_stacked_guess_of_wrong_length():
     _check_guess_rejected((3, 5))
 
 
-@pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
-def test_step_rejects_dt_like_the_solver_config(dt):
-    mesh = build_mesh((0, 1, 0, 1), 3)
-    with pytest.raises(InvalidParameterError) as config_info:
+@pytest.mark.parametrize("dt, message", [
+    (0.0, "dt must be positive, got 0.0"),
+    (-1e-3, "dt must be positive, got -0.001"),
+    (float("nan"), "dt must be positive, got nan"),
+], ids=["0.0", "-0.001", "nan"])
+def test_step_rejects_dt_like_the_solver_config(dt, message):
+    # step reads its dt from a SolverConfig, which cannot hold these
+    with pytest.raises(InvalidParameterError) as info:
         SolverConfig(dt=dt)
-    with pytest.raises(InvalidParameterError) as step_info:
-        step(uniform_state(mesh, t=0.1, phi=0.5), TABLE_PARAMS, mesh, dt)
-    assert str(step_info.value) == str(config_info.value)
+    assert str(info.value) == message
 
 
 def _check_guess_rejected(shape):
     mesh = build_mesh((0, 1, 0, 1), 3)
     state = uniform_state(mesh, t=0.1, phi=0.5)
     with pytest.raises(InvalidParameterError):
-        step(state, TABLE_PARAMS, mesh, 1e-3, guess=np.zeros(shape))
+        step(state, TABLE_PARAMS, mesh, guess=np.zeros(shape))
 
 
 def test_bound_monitor_logs_each_violation_once(caplog):
@@ -398,11 +400,7 @@ def test_run_projected_guess_saves_matvecs(monkeypatch):
     mesh = scenario.build_mesh()
     state = scenario.initial_state(mesh)
     for _ in range(200):
-        state = step(
-            state, scenario.params, mesh, config.dt,
-            cg_tolerance=config.cg_tolerance,
-            cg_max_iterations=config.cg_max_iterations,
-        )
+        state = step(state, scenario.params, mesh, config)
 
     assert len(matvecs) == 200
     assert 0 < run_matvecs < sum(matvecs)
@@ -444,6 +442,22 @@ def test_run_guesses_from_the_last_four_tumor_fields(monkeypatch):
             assert np.array_equal(field, t_fields[k - 1 - age])
 
 
+def test_n_steps_is_the_step_count_of_run_and_run_homogeneous(monkeypatch):
+    config = SolverConfig(dt=3e-3, t_final=0.01)  # 3.33 steps round to 3
+    steps = []
+    original = gbmsim.solver.step
+
+    def counting_step(*args, **kwargs):
+        steps.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gbmsim.solver, "step", counting_step)
+    run(replace(scenario_ring_width(), n_sub=4), config)
+    trajectory = run_homogeneous(FieldTriple(0.1, 0.0, 0.5), TABLE_PARAMS, config)
+    assert config.n_steps == 3
+    assert len(steps) == len(trajectory) - 1 == config.n_steps
+
+
 def test_run_annotates_solver_failure_with_step():
     scenario = scenario_ring_width()
     scenario = replace(
@@ -463,44 +477,53 @@ def test_run_annotates_solver_failure_with_step():
 def test_homogeneous_matches_mesh_step_on_constant_fields():
     mesh = build_mesh((-9, 9, -9, 9), 6)
     initial = FieldTriple(0.3, 0.1, 0.6)
-    trajectory = run_homogeneous(initial, TABLE_PARAMS, 1e-3, 1e-3)
+    trajectory = run_homogeneous(initial, TABLE_PARAMS, SolverConfig(t_final=1e-3))
     state = uniform_state(mesh, t=0.3, n=0.1, phi=0.6)
-    after = step(state, TABLE_PARAMS, mesh, 1e-3, cg_tolerance=1e-13)
+    after = step(state, TABLE_PARAMS, mesh, SolverConfig(cg_tolerance=1e-13))
     assert trajectory.t_density[-1] == pytest.approx(after.t_field[0], abs=1e-12)
     assert trajectory.n_density[-1] == pytest.approx(after.n_field[0], abs=1e-14)
     assert trajectory.phi_density[-1] == pytest.approx(after.phi_field[0], abs=1e-14)
 
 
 def test_homogeneous_sign_structure_without_tumor():
-    trajectory = run_homogeneous(FieldTriple(0.0, 0.1, 0.5), TABLE_PARAMS, 1e-3, 5.0)
+    trajectory = run_homogeneous(
+        FieldTriple(0.0, 0.1, 0.5), TABLE_PARAMS, SolverConfig(t_final=5.0)
+    )
     assert np.all(trajectory.t_density == 0.0)
     assert np.all(np.diff(trajectory.phi_density) <= 0.0)
     assert np.all(np.diff(trajectory.n_density) >= 0.0)
 
 
 def test_homogeneous_necrosis_bounded_and_monotone():
-    trajectory = run_homogeneous(FieldTriple(0.1, 0.1, 0.5), TABLE_PARAMS, 1e-3, 20.0)
+    trajectory = run_homogeneous(
+        FieldTriple(0.1, 0.1, 0.5), TABLE_PARAMS, SolverConfig(t_final=20.0)
+    )
     assert np.all(np.diff(trajectory.n_density) >= 0.0)
     assert np.isfinite(trajectory.n_density[-1])
     assert trajectory.n_density[-1] < 2.0
 
 
 def test_homogeneous_samples_every_step():
-    trajectory = run_homogeneous(FieldTriple(0.1, 0.0, 0.5), TABLE_PARAMS, 1e-3, 0.01)
+    trajectory = run_homogeneous(
+        FieldTriple(0.1, 0.0, 0.5), TABLE_PARAMS, SolverConfig(t_final=0.01)
+    )
     assert len(trajectory) == 11
     assert trajectory.times[-1] == pytest.approx(0.01)
 
 
 def test_homogeneous_overflow_raises_at_its_step():
     with pytest.raises(SolverFailure, match="overflowed at step 1$") as info:
-        run_homogeneous(FieldTriple(1e308, 0.0, 0.5), TABLE_PARAMS, 1e-3, 0.01)
+        run_homogeneous(
+            FieldTriple(1e308, 0.0, 0.5), TABLE_PARAMS, SolverConfig(t_final=0.01)
+        )
     assert info.value.step_index == 1
 
 
 @pytest.mark.parametrize("t_final", [-1.0, float("nan"), float("inf")])
 def test_homogeneous_rejects_bad_horizon(t_final):
     with pytest.raises(InvalidParameterError, match="t_final"):
-        run_homogeneous(FieldTriple(0.1, 0.0, 0.5), TABLE_PARAMS, 1e-3, t_final)
+        config = SolverConfig(t_final=t_final)
+        run_homogeneous(FieldTriple(0.1, 0.0, 0.5), TABLE_PARAMS, config)
 
 
 @pytest.mark.parametrize("name", ["t_density", "n_density", "phi_density"])
@@ -508,7 +531,7 @@ def test_homogeneous_rejects_bad_horizon(t_final):
 def test_homogeneous_rejects_non_finite_initial_state(name, value):
     initial = replace(FieldTriple(0.1, 0.0, 0.5), **{name: value})
     with pytest.raises(InvalidParameterError, match=f"initial {name} must be finite"):
-        run_homogeneous(initial, TABLE_PARAMS, 1e-3, 0.01)
+        run_homogeneous(initial, TABLE_PARAMS, SolverConfig(t_final=0.01))
 
 
 @pytest.mark.parametrize("name", ["dt", "t_final", "snapshot_every"])
@@ -549,8 +572,8 @@ def test_mirror_symmetry_short_run():
     flip = (np.add.outer((n_sub + 1) * np.arange(n_sub + 1), ix[::-1])).ravel()
 
     for _ in range(200):
-        state = step(state, TABLE_PARAMS, mesh, 1e-3)
-        state_m = step(state_m, TABLE_PARAMS, mirrored, 1e-3)
+        state = step(state, TABLE_PARAMS, mesh)
+        state_m = step(state_m, TABLE_PARAMS, mirrored)
     for field in ("t_field", "n_field", "phi_field"):
         a = getattr(state, field)
         b = getattr(state_m, field)[flip]
