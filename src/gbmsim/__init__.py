@@ -36,10 +36,6 @@ from .metrics import (
     MetricsSample,
     compute_sample,
     max_radius,
-    ring_quotient,
-    surface_quotient,
-    threshold_indicator,
-    tumor_area,
 )
 from .solver import (
     BoundViolation,

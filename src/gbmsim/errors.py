@@ -44,7 +44,7 @@ class SolverFailure(SimulationError, RuntimeError):
 
 
 class EmptyRegionError(SimulationError, ValueError):
-    """A geometric observable was requested for an empty thresholded region."""
+    """An enclosing circle was requested for an empty point set."""
 
 
 class ConfigError(SimulationError, ValueError):

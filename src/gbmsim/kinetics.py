@@ -186,10 +186,13 @@ def nondimensionalize(p: DimensionalParameters) -> DimensionlessParameters:
 def rescale_spacetime(x, t, kappa0, rho):
     """Rescale a physical length/time pair into dimensionless coordinates.
 
-    Returns ``(y, s)`` with ``y = sqrt(rho/kappa0) * x`` and ``s = rho * t``.
+    Returns ``(y, s)`` with ``y = sqrt(rho/kappa0) * x`` and ``s = rho * t``;
+    ``kappa0`` and ``rho`` must be finite and strictly positive.
     """
     if not kappa0 > 0.0:
         raise InvalidParameterError(f"kappa0 must be strictly positive, got {kappa0!r}")
     if not rho > 0.0:
         raise InvalidParameterError(f"rho must be strictly positive, got {rho!r}")
+    check_finite("kappa0", kappa0)
+    check_finite("rho", rho)
     return math.sqrt(rho / kappa0) * x, rho * t

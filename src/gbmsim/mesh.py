@@ -12,6 +12,7 @@ No operator reads the triangle list; only the VTK writer builds it.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,7 +152,11 @@ def build_mesh(bounds, n_sub: int, diagonal: str = "main") -> StructuredTriMesh:
 
 
 def check_n_sub(n_sub) -> None:
-    """Reject a grid with no subinterval per edge."""
+    """Reject a grid size that is not an integer >= 1."""
+    try:
+        operator.index(n_sub)
+    except TypeError:
+        raise MeshError(f"n_sub must be an integer, got {n_sub!r}") from None
     if n_sub < 1:
         raise MeshError(f"n_sub must be >= 1, got {n_sub}")
 

@@ -1,9 +1,10 @@
 """Morphometric observables of a simulation state.
 
-Ring quotient (proliferative fraction of the total tumor mass), thresholded
-tumor region (the indices of its vertices), its lumped area, the radius of the
-smallest circle enclosing a point set, and the surface quotient (area over
-enclosing-disc area).  All functions are pure and operate on immutable
+:func:`compute_sample` is the one place that computes them: the ring quotient
+(proliferative fraction of the total tumor mass), the thresholded tumor region
+and its lumped area, the radius of the smallest circle enclosing the region
+(:func:`max_radius`, for any finite point set), and the surface quotient (area
+over enclosing-disc area).  All functions are pure and operate on immutable
 snapshots, so they are safe to call concurrently.
 
 On coarse meshes the surface quotient can exceed 1 because the thresholded
@@ -30,11 +31,7 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "check_threshold",
     "MetricsSample",
-    "ring_quotient",
-    "threshold_indicator",
-    "tumor_area",
     "max_radius",
-    "surface_quotient",
     "compute_sample",
 ]
 
@@ -57,9 +54,15 @@ _SHUFFLE_SEED = 20260809
 class MetricsSample:
     """One time point of the observable set.
 
-    ``sq`` and ``r_max`` are NaN when the thresholded region is empty (a
-    vanished tumor has no meaningful shape).  ``rq`` falls back to 1 only
-    when the integral of T + N is exactly 0 (see :func:`ring_quotient`).
+    The region is the vertices with T + N >= theta (inclusive), for a theta
+    that is positive and finite; ``area`` is its lumped area (0 for none).
+    ``rq`` is the integral of T over that of T + N, and falls back to 1 (all
+    proliferative) only when the integral of T + N is exactly 0, so it does
+    not depend on the scale of the domain.  ``sq`` is the area over that of
+    the region's smallest enclosing disc, of radius ``r_max``; a region whose
+    radius is below half a cell edge cannot resolve any shape and has sq 1.
+    ``sq`` and ``r_max`` are NaN when the region is empty (a vanished tumor
+    has no meaningful shape).
     """
 
     time: float
@@ -70,45 +73,6 @@ class MetricsSample:
     tumor_density: float
     total_tn_density: float
     phi_density: float
-
-
-def ring_quotient(state, mesh: StructuredTriMesh) -> float:
-    """Proliferative share of the total tumor mass, in [0, 1] for
-    nonnegative fields.
-
-    A zero denominator (no tumor at all) returns 1: the state is treated as
-    all proliferative, which keeps the value continuous with a necrosis free
-    seed.  Any other denominator, however small, gives the quotient, so the
-    value does not depend on the scale of the domain.
-    """
-    return _quotient(
-        lumped_integral(mesh, state.t_field),
-        lumped_integral(mesh, state.t_field + state.n_field),
-    )
-
-
-def _quotient(tumor: float, total: float) -> float:
-    """RQ from the integrals of T and of T + N."""
-    if total == 0.0:
-        return 1.0
-    return tumor / total
-
-
-def threshold_indicator(state, theta: float = DEFAULT_THRESHOLD) -> np.ndarray:
-    """Sorted indices of the vertices with T + N >= theta (inclusive)."""
-    return _region(state.t_field + state.n_field, theta)
-
-
-def _region(total, theta: float) -> np.ndarray:
-    """Sorted indices of the vertices where the field ``total`` (T + N)
-    reaches theta, which must be positive and finite."""
-    check_threshold(theta)
-    return np.flatnonzero(total >= theta)
-
-
-def tumor_area(indices, mesh: StructuredTriMesh) -> float:
-    """Lumped area of the vertices ``indices`` (0 for none)."""
-    return float(mesh.lumped_weights[indices].sum())
 
 
 def max_radius(points) -> float:
@@ -124,21 +88,6 @@ def max_radius(points) -> float:
     return _smallest_enclosing_circle(points)[2]
 
 
-def surface_quotient(
-    state, mesh: StructuredTriMesh, theta: float = DEFAULT_THRESHOLD
-) -> float:
-    """Region area divided by the area of its smallest enclosing circle.
-
-    Near 1 for round regions, near 0 for irregular ones.  A region smaller
-    than half a cell edge cannot resolve any shape and is defined to be
-    perfectly regular (returns 1).  An empty region is an error; report a
-    vanished tumor upstream instead of assigning it a regularity.
-    """
-    region = threshold_indicator(state, theta)
-    radius = max_radius(mesh.vertices[region])
-    return _regularity(tumor_area(region, mesh), radius, mesh)
-
-
 def _regularity(area: float, radius: float, mesh: StructuredTriMesh) -> float:
     """SQ of a nonempty region with the given area and enclosing radius."""
     if radius < mesh.cell_edge / 2.0:
@@ -149,21 +98,20 @@ def _regularity(area: float, radius: float, mesh: StructuredTriMesh) -> float:
 def compute_sample(
     state, mesh: StructuredTriMesh, theta: float = DEFAULT_THRESHOLD
 ) -> MetricsSample:
-    """Evaluate the full observable set for one state."""
+    """Evaluate the observable set of one state (see :class:`MetricsSample`)."""
+    check_threshold(theta)
     total = state.t_field + state.n_field
-    region = _region(total, theta)
-    area = tumor_area(region, mesh)
-    if len(region) == 0:
-        sq = float("nan")
-        r_max = float("nan")
-    else:
+    region = np.flatnonzero(total >= theta)
+    area = float(mesh.lumped_weights[region].sum())
+    sq = r_max = math.nan
+    if len(region):
         r_max = max_radius(mesh.vertices[region])
         sq = _regularity(area, r_max, mesh)
     tumor_density = lumped_integral(mesh, state.t_field)
     total_tn_density = lumped_integral(mesh, total)
     return MetricsSample(
         time=state.time,
-        rq=_quotient(tumor_density, total_tn_density),
+        rq=tumor_density / total_tn_density if total_tn_density != 0.0 else 1.0,
         sq=sq,
         area=area,
         r_max=r_max,

@@ -391,14 +391,19 @@ def run_homogeneous(
 
     It reads ``dt`` and ``t_final`` (as ``n_steps``) from ``config``.  The
     trajectory is sampled at every step, and every ``initial`` component must
-    be finite.  Raises :class:`SolverFailure` on numeric overflow.
+    be finite.  Raises :class:`SolverFailure` on numeric overflow, and
+    :class:`InvalidParameterError` when the trajectory cannot be allocated.
     """
     t, n, phi = homogeneous_start(initial)
     dt, n_steps = config.dt, config.n_steps
-    times = dt * np.arange(n_steps + 1)
-    t_out = np.empty(n_steps + 1)
-    n_out = np.empty(n_steps + 1)
-    phi_out = np.empty(n_steps + 1)
+    try:
+        times = dt * np.arange(n_steps + 1)
+        t_out, n_out, phi_out = (np.empty(n_steps + 1) for _ in range(3))
+    except (MemoryError, ValueError):
+        raise InvalidParameterError(
+            f"t_final / dt = {config.t_final / dt:g} asks for {n_steps + 1:.3g}"
+            " trajectory samples, more than can be allocated"
+        ) from None
 
     alpha, beta1, beta2, gamma, delta = (
         params.alpha, params.beta1, params.beta2, params.gamma, params.delta,

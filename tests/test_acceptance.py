@@ -496,7 +496,7 @@ def test_criterion_10_metrics_oracles():
     )
     dist = np.linalg.norm(mesh.vertices, axis=1)
     state.t_field[dist <= 4.0] = 1.0
-    sq = g.surface_quotient(state, mesh)
+    sq = g.compute_sample(state, mesh).sq
     disc_ok = 0.9 <= sq <= 1.05
     check(
         10,

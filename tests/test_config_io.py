@@ -652,14 +652,17 @@ def test_cli_ode_rejects_non_finite_initial_state(tmp_path, capsys, value):
 
 
 def test_cli_ode_reports_a_horizon_too_long_to_allocate(tmp_path, capsys):
-    # 1e18 + 1 samples: the request fails at once and touches no memory
-    config = tmp_path / "ode.cfg"
-    config.write_text("[solver]\nt_final = 1e15\n")
-    out = tmp_path / "out"
-    assert main(["ode", "--config", str(config), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not out.exists()
+    # 1e18 + 1 samples fail at once and touch no memory (numpy raises a
+    # MemoryError); 1e303 + 1 exceed numpy's size limit (a ValueError).
+    for t_final in ("1e15", "1e300"):
+        config = tmp_path / "ode.cfg"
+        config.write_text(f"[solver]\nt_final = {t_final}\n")
+        out = tmp_path / "out"
+        assert main(["ode", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "t_final / dt" in err
+        assert not out.exists()
 
 
 def test_cli_ode_writes_trajectory(tmp_path):

@@ -15,13 +15,12 @@ from gbmsim import (
     ZoneSpec,
     ZonedVasculature,
     build_mesh,
+    compute_sample,
     default_sweep_values,
     lumped_integral,
     scenario_ring_width,
     scenario_surface_regularity,
     sweep,
-    threshold_indicator,
-    tumor_area,
 )
 from gbmsim import SimulationState
 from gbmsim.experiments import DEFAULT_ZONES, sweep_runs
@@ -197,6 +196,12 @@ def test_scenario_rejects_empty_grid_when_built():
         replace(scenario_ring_width(), n_sub=0)
 
 
+def test_scenario_rejects_non_integer_grid_when_built():
+    with pytest.raises(MeshError, match=r"^n_sub must be an integer, got 2\.5$"):
+        replace(scenario_ring_width(), n_sub=2.5)
+    assert replace(scenario_ring_width(), n_sub=np.int64(5)).build_mesh().n_sub == 5
+
+
 def test_uniform_vasculature_levels():
     mesh = build_mesh((-9, 9, -9, 9), 9)
     assert np.all(ZonedVasculature(0.5, ()).field(mesh) == 0.5)
@@ -224,7 +229,7 @@ def test_zoned_vasculature_disc_integral():
         np.zeros(mesh.num_vertices),
         np.zeros(mesh.num_vertices),
     )
-    disc_area = tumor_area(threshold_indicator(indicator, 0.5), mesh)
+    disc_area = compute_sample(indicator, mesh, 0.5).area
     expected = 0.2 * 324.0 + 0.6 * disc_area
     assert lumped_integral(mesh, field) == pytest.approx(expected, abs=1e-10)
 

@@ -250,6 +250,19 @@ def test_rescale_rejects_nonpositive_scales():
         rescale_spacetime(1.0, 1.0, 1.0, -2.0)
 
 
+@pytest.mark.parametrize("name", ["kappa0", "rho"])
+def test_rescale_rejects_infinite_scales_like_the_parameters(name):
+    scales = {"kappa0": 1.0, "rho": 1.0, name: math.inf}
+    rates = dict.fromkeys(
+        ("kappa1", "alpha", "beta1", "beta2", "gamma", "delta", "K"), 1.0
+    )
+    with pytest.raises(InvalidParameterError) as expected:
+        DimensionalParameters(**rates, **scales)
+    with pytest.raises(InvalidParameterError) as info:
+        rescale_spacetime(1.0, 1.0, scales["kappa0"], scales["rho"])
+    assert str(info.value) == str(expected.value) == f"{name} must be finite, got inf"
+
+
 def test_dimensional_consistency_random():
     # f_dimless(T/K, N/K, Phi/K; scaled rates) == f_dimensional / (rho * K)
     rng = np.random.default_rng(3)

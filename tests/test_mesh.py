@@ -81,6 +81,15 @@ def test_direct_construction_runs_the_checks():
         StructuredTriMesh(0, float("inf"), 0, 1, 4)
 
 
+def test_n_sub_must_be_an_integer():
+    with pytest.raises(MeshError, match=r"^n_sub must be an integer, got 3\.0$"):
+        build_mesh((0, 1, 0, 1), 3.0)
+    with pytest.raises(MeshError, match=r"^n_sub must be an integer, got 2\.5$"):
+        StructuredTriMesh(0, 1, 0, 1, 2.5)
+    assert build_mesh((0, 1, 0, 1), np.int64(3)).num_vertices == 16
+    assert build_mesh((0, 1, 0, 1), np.uint8(2)).num_vertices == 9
+
+
 def test_mesh_is_a_frozen_value_of_its_defining_numbers():
     mesh = build_mesh((-2, 3, -1, 4), 7, diagonal="anti")
     assert [f.name for f in dataclasses.fields(mesh)] == [

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from gbmsim import (
+    DEFAULT_THRESHOLD,
     EmptyRegionError,
     InvalidParameterError,
     SimulationError,
@@ -22,11 +23,7 @@ from gbmsim import (
     compute_sample,
     lumped_integral,
     max_radius,
-    ring_quotient,
     scenario_ring_width,
-    surface_quotient,
-    threshold_indicator,
-    tumor_area,
 )
 from gbmsim.metrics import _circumcircle, _hull, _row_end_points, check_threshold
 
@@ -92,37 +89,44 @@ def brute_force_radius(points):
     return best
 
 
+def definition_rq(state, mesh):
+    """RQ from its definition: the integral of T over that of T + N, or 1
+    when the latter is exactly 0."""
+    total = lumped_integral(mesh, state.t_field + state.n_field)
+    return lumped_integral(mesh, state.t_field) / total if total != 0.0 else 1.0
+
+
 # --- ring quotient ---------------------------------------------------------
 
 def test_rq_all_proliferative():
     mesh = build_mesh((-9, 9, -9, 9), 6)
     state = state_on(mesh, t=0.3, n=0.0)
-    assert ring_quotient(state, mesh) == 1.0
+    assert compute_sample(state, mesh).rq == 1.0
 
 
 def test_rq_all_necrotic():
     mesh = build_mesh((-9, 9, -9, 9), 6)
     state = state_on(mesh, t=0.0, n=0.4)
-    assert ring_quotient(state, mesh) == 0.0
+    assert compute_sample(state, mesh).rq == 0.0
 
 
 def test_rq_constant_mixture():
     mesh = build_mesh((-9, 9, -9, 9), 6)
     state = state_on(mesh, t=0.2, n=0.3)
-    assert ring_quotient(state, mesh) == pytest.approx(0.4, abs=1e-14)
+    assert compute_sample(state, mesh).rq == pytest.approx(0.4, abs=1e-14)
 
 
 def test_rq_empty_tumor_defined_as_one():
     mesh = build_mesh((-9, 9, -9, 9), 6)
     state = state_on(mesh, t=0.0, n=0.0)
-    assert ring_quotient(state, mesh) == 1.0
+    assert compute_sample(state, mesh).rq == 1.0
 
 
 def test_rq_tiny_domain_is_not_taken_for_an_empty_tumor():
     # The integrals are 2.5e-17 and 1e-16: small, but no tumor is missing.
     mesh = build_mesh((0, 1e-8, 0, 1e-8), 4)
     state = state_on(mesh, t=0.25, n=0.75)
-    assert ring_quotient(state, mesh) == pytest.approx(0.25, rel=1e-14)
+    assert compute_sample(state, mesh).rq == pytest.approx(0.25, rel=1e-14)
 
 
 @settings(max_examples=100, deadline=None)
@@ -132,8 +136,10 @@ def test_rq_scale_invariant(scale):
     rng = np.random.default_rng(42)
     t = rng.random(mesh.num_vertices)
     n = rng.random(mesh.num_vertices)
-    base = ring_quotient(SimulationState(0.0, t, n, 0 * t), mesh)
-    scaled = ring_quotient(SimulationState(0.0, scale * t, scale * n, 0 * t), mesh)
+    base = compute_sample(SimulationState(0.0, t, n, 0 * t), mesh).rq
+    scaled = compute_sample(
+        SimulationState(0.0, scale * t, scale * n, 0 * t), mesh
+    ).rq
     assert scaled == pytest.approx(base, abs=1e-12)
 
 
@@ -143,25 +149,26 @@ def test_rq_in_unit_interval_for_nonnegative_fields():
     for _ in range(50):
         t = rng.random(mesh.num_vertices)
         n = rng.random(mesh.num_vertices)
-        rq = ring_quotient(SimulationState(0.0, t, n, 0 * t), mesh)
+        rq = compute_sample(SimulationState(0.0, t, n, 0 * t), mesh).rq
         assert 0.0 <= rq <= 1.0
 
 
-# --- threshold indicator and area -----------------------------------------
+# --- thresholded region and area -------------------------------------------
 
 def test_threshold_empty_and_full():
     mesh = build_mesh((-9, 9, -9, 9), 5)
-    assert len(threshold_indicator(state_on(mesh))) == 0
-    full = threshold_indicator(state_on(mesh, t=0.5))
-    assert len(full) == mesh.num_vertices
+    assert compute_sample(state_on(mesh), mesh).area == 0.0
+    full = compute_sample(state_on(mesh, t=0.5), mesh)
+    assert full.area == mesh.lumped_weights.sum()
 
 
 def test_threshold_is_inclusive():
     mesh = build_mesh((0, 1, 0, 1), 1)
     state = state_on(mesh)
     state.t_field[2] = 0.001
-    region = threshold_indicator(state)
-    assert list(region) == [2]
+    sample = compute_sample(state, mesh)
+    assert sample.area == mesh.lumped_weights[2]
+    assert sample.r_max == 0.0
 
 
 def test_threshold_monotone_in_theta():
@@ -170,7 +177,7 @@ def test_threshold_monotone_in_theta():
     state = state_on(mesh)
     state.t_field[:] = rng.random(mesh.num_vertices) * 0.01
     areas = [
-        tumor_area(threshold_indicator(state, theta), mesh)
+        compute_sample(state, mesh, theta).area
         for theta in (0.008, 0.004, 0.002, 0.001)
     ]
     assert all(a <= b + 1e-15 for a, b in zip(areas, areas[1:]))
@@ -178,25 +185,20 @@ def test_threshold_monotone_in_theta():
 
 def test_area_empty_and_full():
     mesh = build_mesh((-9, 9, -9, 9), 5)
-    assert tumor_area(threshold_indicator(state_on(mesh)), mesh) == 0.0
-    full = threshold_indicator(state_on(mesh, t=1.0))
-    assert tumor_area(full, mesh) == pytest.approx(324.0, abs=1e-12)
+    assert compute_sample(state_on(mesh), mesh).area == 0.0
+    full = compute_sample(state_on(mesh, t=1.0), mesh)
+    assert full.area == pytest.approx(324.0, abs=1e-12)
 
 
 def test_area_single_interior_vertex():
     mesh = build_mesh((-9, 9, -9, 9), 45)
     state = state_on(mesh)
     state.t_field[mesh.vertex_index(20, 20)] = 0.001
-    region = threshold_indicator(state)
-    assert tumor_area(region, mesh) == pytest.approx(0.16, abs=1e-12)
+    assert compute_sample(state, mesh).area == pytest.approx(0.16, abs=1e-12)
 
 
 @pytest.mark.parametrize("theta", [-1.0, 0.0, math.nan, math.inf])
-@pytest.mark.parametrize("observable", [
-    lambda state, mesh, theta: threshold_indicator(state, theta),
-    surface_quotient,
-    compute_sample,
-], ids=["threshold_indicator", "surface_quotient", "compute_sample"])
+@pytest.mark.parametrize("observable", [compute_sample], ids=["compute_sample"])
 def test_metrics_reject_theta_like_the_config(observable, theta):
     scenario = scenario_ring_width()
     mesh = scenario.build_mesh()
@@ -371,20 +373,14 @@ def test_sq_two_distant_blobs():
     state.t_field[mesh.vertex_index(10, 20)] = 0.5   # (-4, 0)
     state.t_field[mesh.vertex_index(30, 20)] = 0.5   # (+4, 0)
     expected = (2 * 0.16) / (math.pi * 16.0)
-    assert surface_quotient(state, mesh) == pytest.approx(expected, abs=1e-12)
+    assert compute_sample(state, mesh).sq == pytest.approx(expected, abs=1e-12)
 
 
 def test_sq_sub_resolution_blob_is_regular():
     mesh = build_mesh((-9, 9, -9, 9), 45)
     state = state_on(mesh)
     state.t_field[mesh.vertex_index(7, 31)] = 0.7
-    assert surface_quotient(state, mesh) == 1.0
-
-
-def test_sq_empty_region_errors():
-    mesh = build_mesh((-9, 9, -9, 9), 5)
-    with pytest.raises(EmptyRegionError):
-        surface_quotient(state_on(mesh), mesh)
+    assert compute_sample(state, mesh).sq == 1.0
 
 
 def test_sq_disc_approaches_one_under_refinement():
@@ -394,7 +390,7 @@ def test_sq_disc_approaches_one_under_refinement():
         state = state_on(mesh)
         dist = np.linalg.norm(mesh.vertices, axis=1)
         state.t_field[dist <= 4.0] = 1.0
-        values.append(surface_quotient(state, mesh))
+        values.append(compute_sample(state, mesh).sq)
     assert abs(values[-1] - 1.0) <= abs(values[0] - 1.0) + 1e-12
     assert values[-1] == pytest.approx(1.0, abs=0.05)
 
@@ -414,7 +410,7 @@ def test_sample_densities_are_lumped_integrals():
         sample.tumor_density + lumped_integral(mesh, state.n_field), abs=1e-12
     )
     assert sample.phi_density == pytest.approx(162.0, abs=1e-12)
-    assert sample.rq == ring_quotient(state, mesh)
+    assert sample.rq == definition_rq(state, mesh)
 
 
 def test_total_density_zero_state():
@@ -422,7 +418,7 @@ def test_total_density_zero_state():
     state = state_on(mesh)
     sample = compute_sample(state, mesh)
     assert sample.tumor_density == sample.total_tn_density == 0.0
-    assert sample.rq == ring_quotient(state, mesh) == 1.0
+    assert sample.rq == definition_rq(state, mesh) == 1.0
 
 
 # --- composed sample ---------------------------------------------------------
@@ -444,3 +440,67 @@ def test_compute_sample_round_blob():
     assert sample.rq == 1.0
     assert 0.8 <= sample.sq <= 1.1
     assert sample.r_max == pytest.approx(dist[dist <= 3.0].max(), abs=1e-12)
+
+
+def test_sample_matches_the_definitions():
+    # Every field of the sample against the formulas written out here, on
+    # random states with vertices set exactly to theta and just below it; a
+    # theta down to 1e-300 makes the integral of T + N tiny but not 0.
+    rng = np.random.default_rng(2020)
+    preset_bounds = scenario_ring_width().bounds
+    cases = []
+    for k in range(40):
+        if k % 4 == 0:
+            bounds = preset_bounds
+        else:
+            x0, y0 = rng.uniform(-9, 9, size=2)
+            w, h = rng.uniform(0.5, 9, size=2)
+            bounds = (x0, x0 + w, y0, y0 + h)
+        mesh = build_mesh(bounds, int(rng.integers(1, 9)))
+        theta = float(rng.choice(
+            [0.001, rng.uniform(0.001, 0.3), 10.0 ** rng.uniform(-300, -3)]
+        ))
+        nv = mesh.num_vertices
+        t = rng.uniform(0.0, 1.2 * theta, nv)
+        n = rng.uniform(0.0, 0.6 * theta, nv)
+        on, below = rng.choice(nv, size=(2, max(1, nv // 5)), replace=True)
+        t[on], n[on] = theta, 0.0
+        t[below], n[below] = np.nextafter(theta, 0.0), 0.0
+        phi = rng.random(nv)
+        cases.append((mesh, SimulationState(0.0, t, n, phi), theta))
+    mesh = build_mesh(preset_bounds, 8)
+    cases.append((mesh, state_on(mesh), DEFAULT_THRESHOLD))
+    single = state_on(mesh, phi=0.5)
+    single.n_field[mesh.vertex_index(3, 5)] = DEFAULT_THRESHOLD
+    cases.append((mesh, single, DEFAULT_THRESHOLD))
+    # Neighbours along the short and the long cell edge: enclosing radii
+    # below and at half the longest cell edge.
+    mesh = build_mesh((0, 1, 0, 0.8), 4)
+    for neighbour in (mesh.vertex_index(2, 3), mesh.vertex_index(3, 2)):
+        pair = state_on(mesh)
+        pair.t_field[[mesh.vertex_index(2, 2), neighbour]] = 0.5
+        cases.append((mesh, pair, DEFAULT_THRESHOLD))
+
+    for mesh, state, theta in cases:
+        sample = compute_sample(state, mesh, theta)
+        total = state.t_field + state.n_field
+        inside = [v for v in range(mesh.num_vertices) if total[v] >= theta]
+        area = math.fsum(mesh.lumped_weights[v] for v in inside)
+        assert sample.area == pytest.approx(area, rel=1e-12, abs=0.0)
+        if inside:
+            radius = brute_force_radius(mesh.vertices[inside])
+            assert sample.r_max == pytest.approx(radius, rel=0.0, abs=1e-12)
+            # The rule is applied to the sample's radius, so that a radius
+            # within rounding of half a cell edge cannot flip it.
+            if sample.r_max < mesh.cell_edge / 2.0:
+                assert sample.sq == 1.0
+            else:
+                assert sample.sq == pytest.approx(
+                    area / (math.pi * sample.r_max**2), rel=1e-12
+                )
+        else:
+            assert math.isnan(sample.r_max) and math.isnan(sample.sq)
+        assert sample.rq == definition_rq(state, mesh)
+        assert sample.tumor_density == lumped_integral(mesh, state.t_field)
+        assert sample.total_tn_density == lumped_integral(mesh, total)
+        assert sample.phi_density == lumped_integral(mesh, state.phi_field)
