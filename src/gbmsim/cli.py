@@ -94,9 +94,7 @@ def _cmd_ode(args) -> int:
     trajectory = run_homogeneous(config.ode_initial, config.params, config.solver)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(
-        trajectory, config.solver.metrics_every, out_dir / "trajectory.csv"
-    )
+    write_trajectory_csv(trajectory, out_dir / "trajectory.csv")
     return 0
 
 

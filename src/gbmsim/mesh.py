@@ -5,8 +5,8 @@ triangles right (nonobtuse) and makes the stiffness matrix an M-matrix for
 constant diffusivity.  Both operators are slices of the (n_sub + 1)^2 vertex
 grid: the lumped weights add a third of each cell's area to its corners, and
 the 5-point stiffness stencil (the diagonal coupling of a right triangle
-vanishes) is three grid planes gathered into a CSR layout fixed per grid size.
-No operator reads the triangle list; only the VTK writer builds it.
+vanishes) is three grid planes, which :class:`StencilMatrix` multiplies as
+shifted slices.  No operator reads the triangle list; only VTK output does.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import MeshError, check_finite
 
 __all__ = [
     "StructuredTriMesh",
+    "StencilMatrix",
     "build_mesh",
     "check_bounds",
     "check_n_sub",
@@ -199,10 +199,67 @@ def _stencil_layout(n_sub: int):
     return layout
 
 
+class StencilMatrix:
+    """The 5-point stiffness matrix of one assembly, held as its flattened
+    south, west and centre planes (see :func:`assemble_stiffness`).
+
+    ``A @ x`` adds each row's five shifted slice products to 0.0 in the order
+    of its sorted CSR columns (south, west, centre, east, north), as a CSR
+    product sums, so it has the CSR product's bits.  Unlike CSR, a boundary
+    row's missing west or east neighbour enters with a zero coefficient, so
+    a non-finite entry of x spreads to that row too (:func:`solve_spd`'s
+    stall check rejects non-finite input).  The products share one scratch
+    buffer, so one operator serves one thread at a time.
+    """
+
+    def __init__(self, planes: np.ndarray, layout):
+        m = planes.shape[1]
+        south, west, self._centre = planes.reshape(3, m * m)
+        self._planes, self._layout, self._m = planes, layout, m
+        self.shape = (m * m, m * m)
+        # A south (west) coefficient is also the north (east) one of the
+        # vertex below (before) it.
+        self._south, self._west = south[m:], west[1:]
+        self._scratch = np.empty(m * m)
+
+    def diagonal(self) -> np.ndarray:
+        return self._centre.copy()
+
+    def __matmul__(self, x):
+        m, t = self._m, self._scratch
+        t_s, t_w = t[:-m], t[:-1]
+        y = np.zeros(t.size)
+        np.multiply(self._south, x[:-m], out=t_s)
+        y[m:] += t_s
+        np.multiply(self._west, x[:-1], out=t_w)
+        y[1:] += t_w
+        np.multiply(self._centre, x, out=t)
+        y += t
+        np.multiply(self._west, x[1:], out=t_w)
+        y[:-1] += t_w
+        np.multiply(self._south, x[m:], out=t_s)
+        y[:-m] += t_s
+        return y
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        dense[rows, self.indices] += self.data
+        return dense
+
+    # A CSR view (``data`` is gathered anew on each read), kept only for the
+    # benchmark's tracer and the tests: delete it once the tracer reads any
+    # operator with ``@`` and ``diagonal``.
+    data = property(lambda self: self._planes.ravel().take(self._layout[0]))
+    indices = property(lambda self: self._layout[1])
+    indptr = property(lambda self: self._layout[2])
+
+
 def assemble_stiffness(
     mesh: StructuredTriMesh, diffusivity, shift=None
-) -> sparse.csr_matrix:
-    """Assemble the variable-coefficient stiffness matrix plus ``diag(shift)``.
+) -> StencilMatrix:
+    """Assemble the variable-coefficient stiffness matrix plus ``diag(shift)``
+    as a :class:`StencilMatrix`.
 
     The per-triangle diffusivity is the arithmetic mean of the three vertex
     values, which preserves symmetry and is exact for constant fields.  Every
@@ -256,11 +313,7 @@ def assemble_stiffness(
     if shift is not None:
         centre += np.reshape(shift, (m, m))
 
-    gather, indices, indptr = _stencil_layout(n)
-    return sparse.csr_matrix(
-        (planes.ravel().take(gather), indices, indptr),
-        shape=(mesh.num_vertices, mesh.num_vertices),
-    )
+    return StencilMatrix(planes, _stencil_layout(n))
 
 
 def lumped_integral(mesh: StructuredTriMesh, field_values) -> float:

@@ -69,17 +69,10 @@ def write_metrics_csv(series, path) -> None:
     _write_csv(path, METRICS_HEADER, map(_column, zip(*map(astuple, series))))
 
 
-def write_trajectory_csv(trajectory, stride: int, path) -> None:
-    """Write a homogeneous trajectory as "t,T,N,Phi", keeping every
-    ``stride``-th step and the last one; LF line endings."""
-    kept = sorted({*range(0, len(trajectory), stride), len(trajectory) - 1})
-    columns = (
-        trajectory.times,
-        trajectory.t_density,
-        trajectory.n_density,
-        trajectory.phi_density,
-    )
-    _write_csv(path, "t,T,N,Phi", [_column(column[kept]) for column in columns])
+def write_trajectory_csv(trajectory, path) -> None:
+    """Write a homogeneous trajectory as "t,T,N,Phi", one row per sample; LF
+    line endings."""
+    _write_csv(path, "t,T,N,Phi", map(_column, astuple(trajectory)))
 
 
 def write_snapshot(

@@ -128,7 +128,7 @@ class RunResult:
 
 @dataclass
 class HomogeneousTrajectory:
-    """Spatially homogeneous trajectory, sampled at every step."""
+    """Homogeneous states at t = 0, every ``metrics_every``-th step, the last."""
 
     times: np.ndarray
     t_density: np.ndarray
@@ -141,7 +141,8 @@ class HomogeneousTrajectory:
 
 def solve_spd(matrix, rhs, tol: float = SolverConfig.cg_tolerance,
               max_iter: int = SolverConfig.cg_max_iterations, x0=None):
-    """Jacobi-preconditioned conjugate gradients for an SPD sparse system.
+    """Jacobi-preconditioned conjugate gradients for an SPD system; ``matrix``
+    needs only ``@`` and ``diagonal()``.
 
     Guarantees ||A x - b|| / ||b|| <= tol on return and is deterministic.
     A retry loop runs CG cycles; after each, one verdict on the true residual
@@ -389,29 +390,27 @@ def run_homogeneous(
     """Integrate the space-free system with the same semi-implicit update as
     :func:`step`, minus diffusion.
 
-    It reads ``dt`` and ``t_final`` (as ``n_steps``) from ``config``.  The
-    trajectory is sampled at every step, and every ``initial`` component must
-    be finite.  Raises :class:`SolverFailure` on numeric overflow, and
-    :class:`InvalidParameterError` when the trajectory cannot be allocated.
+    It reads ``dt``, ``t_final`` (as ``n_steps``) and ``metrics_every`` from
+    ``config``.  Every ``initial`` component must be finite.  Raises
+    :class:`SolverFailure` on numeric overflow, and
+    :class:`InvalidParameterError` when the samples cannot be allocated.
     """
     t, n, phi = homogeneous_start(initial)
-    dt, n_steps = config.dt, config.n_steps
+    dt, n_steps, every = config.dt, config.n_steps, config.metrics_every
+    n_rows = n_steps // every + 1 + (n_steps % every > 0)
     try:
-        times = dt * np.arange(n_steps + 1)
-        t_out, n_out, phi_out = (np.empty(n_steps + 1) for _ in range(3))
+        rows = np.empty((n_rows, 4))  # t, T, N, Phi
     except (MemoryError, ValueError):
         raise InvalidParameterError(
-            f"t_final / dt = {config.t_final / dt:g} asks for {n_steps + 1:.3g}"
+            f"t_final / dt = {config.t_final / dt:g} asks for {n_rows:.3g}"
             " trajectory samples, more than can be allocated"
         ) from None
 
     alpha, beta1, beta2, gamma, delta = (
         params.alpha, params.beta1, params.beta2, params.gamma, params.delta,
     )
-    t_out[0] = t
-    n_out[0] = n
-    phi_out[0] = phi
-
+    rows[0] = 0.0, t, n, phi
+    row = 0
     for k in range(1, n_steps + 1):
         phi_pos = phi if phi > 0.0 else 0.0
         t_pos = t if t > 0.0 else 0.0
@@ -442,10 +441,8 @@ def run_homogeneous(
                 f"homogeneous trajectory overflowed at step {k}", step_index=k
             )
         t, n, phi = t_new, n_new, phi_new
-        t_out[k] = t
-        n_out[k] = n
-        phi_out[k] = phi
+        if k % every == 0 or k == n_steps:
+            row += 1
+            rows[row] = dt * k, t, n, phi
 
-    return HomogeneousTrajectory(
-        times=times, t_density=t_out, n_density=n_out, phi_density=phi_out
-    )
+    return HomogeneousTrajectory(*rows.T)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import gbmsim as g
+from circle_oracle import brute_force_radius
 
 pytestmark = pytest.mark.acceptance
 
@@ -436,54 +437,13 @@ def test_criterion_09_long_time_decay():
     )
 
 
-def brute_force_enclosing_radius(points):
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    if n == 1:
-        return 0.0
-    slack = 1.0 + 1e-12
-    best = math.inf
-    ii, jj = np.triu_indices(n, k=1)
-    centers = (pts[ii] + pts[jj]) / 2.0
-    radii = np.linalg.norm(pts[ii] - pts[jj], axis=1) / 2.0
-    dists = np.linalg.norm(pts[None, :, :] - centers[:, None, :], axis=2)
-    valid = (dists <= radii[:, None] * slack + 1e-12).all(axis=1)
-    if valid.any():
-        best = radii[valid].min()
-    if n >= 3:
-        triples = np.array(
-            [(i, j, k) for i in range(n) for j in range(i + 1, n)
-             for k in range(j + 1, n)]
-        )
-        a, b, c = pts[triples[:, 0]], pts[triples[:, 1]], pts[triples[:, 2]]
-        d = 2.0 * (
-            a[:, 0] * (b[:, 1] - c[:, 1])
-            + b[:, 0] * (c[:, 1] - a[:, 1])
-            + c[:, 0] * (a[:, 1] - b[:, 1])
-        )
-        ok = np.abs(d) > 1e-12
-        a, b, c, d = a[ok], b[ok], c[ok], d[ok]
-        a2, b2, c2 = ((v**2).sum(axis=1) for v in (a, b, c))
-        ux = (a2 * (b[:, 1] - c[:, 1]) + b2 * (c[:, 1] - a[:, 1])
-              + c2 * (a[:, 1] - b[:, 1])) / d
-        uy = (a2 * (c[:, 0] - b[:, 0]) + b2 * (a[:, 0] - c[:, 0])
-              + c2 * (b[:, 0] - a[:, 0])) / d
-        centers = np.column_stack([ux, uy])
-        radii = np.linalg.norm(a - centers, axis=1)
-        dists = np.linalg.norm(pts[None, :, :] - centers[:, None, :], axis=2)
-        valid = (dists <= radii[:, None] * slack + 1e-12).all(axis=1)
-        if valid.any():
-            best = min(best, radii[valid].min())
-    return best
-
-
 def test_criterion_10_metrics_oracles():
     rng = np.random.default_rng(404)
     worst = 0.0
     for _ in range(200):
         n = int(rng.integers(1, 51))
         pts = rng.uniform(-9.0, 9.0, size=(n, 2))
-        gap = abs(g.max_radius(pts) - brute_force_enclosing_radius(pts))
+        gap = abs(g.max_radius(pts) - brute_force_radius(pts))
         worst = max(worst, gap)
     circles_ok = worst <= 1e-10
 

@@ -7,13 +7,18 @@ the analytic edge formulas used by the package.
 
 import dataclasses
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+import gbmsim
 from gbmsim import (
     MeshError,
     StructuredTriMesh,
@@ -23,6 +28,13 @@ from gbmsim import (
     scenario_surface_regularity,
     vascular_fraction,
 )
+
+
+def as_csr(matrix):
+    """A scipy CSR matrix built from the operator's CSR view."""
+    return sparse.csr_matrix(
+        (matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape
+    )
 
 
 def oracle_stiffness(mesh, diffusivity):
@@ -230,7 +242,7 @@ def test_stiffness_exactly_symmetric():
     rng = np.random.default_rng(6)
     mesh = build_mesh((-9, 9, -9, 9), 8)
     diffusivity = 1.0 + rng.random(mesh.num_vertices)
-    matrix = assemble_stiffness(mesh, diffusivity)
+    matrix = as_csr(assemble_stiffness(mesh, diffusivity))
     asym = matrix - matrix.T
     assert asym.nnz == 0 or np.abs(asym.data).max() == 0.0
 
@@ -247,7 +259,8 @@ def test_stiffness_positive_semidefinite():
 
 def test_stiffness_m_matrix_for_constant_diffusivity():
     mesh = build_mesh((-9, 9, -9, 9), 6)
-    matrix = assemble_stiffness(mesh, np.full(mesh.num_vertices, 2.0)).tocoo()
+    matrix = assemble_stiffness(mesh, np.full(mesh.num_vertices, 2.0))
+    matrix = as_csr(matrix).tocoo()
     off_diag = matrix.data[matrix.row != matrix.col]
     assert np.all(off_diag <= 1e-14)
 
@@ -269,17 +282,61 @@ def test_stiffness_stores_only_the_five_point_stencil(diagonal):
     mesh = build_mesh((-9, 9, -9, 9), n, diagonal=diagonal)
     rng = np.random.default_rng(45)
     diffusivity = 1.0 + rng.random(mesh.num_vertices)
-    matrix = assemble_stiffness(mesh, diffusivity)
+    matrix = as_csr(assemble_stiffness(mesh, diffusivity))
     # every vertex plus both directions of every axis-aligned edge
     assert matrix.nnz == (n + 1) ** 2 + 4 * n * (n + 1) == 10396
     assert np.all(matrix.data != 0.0)
     assert matrix.has_sorted_indices
     # a diagonal shift lands on the stored diagonal and nowhere else
     shift = rng.random(mesh.num_vertices)
-    shifted = assemble_stiffness(mesh, diffusivity, shift)
+    shifted = as_csr(assemble_stiffness(mesh, diffusivity, shift))
     assert shifted.nnz == matrix.nnz
     assert shifted.has_sorted_indices
     assert (shifted != matrix + sparse.diags(shift)).nnz == 0
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("diagonal", ["main", "anti"])
+@pytest.mark.parametrize("n_sub", [1, 2, 3, 45, 180])
+def test_stencil_matvec_matches_csr(n_sub, diagonal, shifted):
+    # The plane product adds in the CSR product's order, so its bits match,
+    # signed zeros and entries from 1e-200 to 1e200 included.
+    mesh = build_mesh((-9.0, 9.0, -9.0, 9.0), n_sub, diagonal=diagonal)
+    rng = np.random.default_rng(n_sub)
+    nv = mesh.num_vertices
+    diffusivity = 1.0 + 55.0 * rng.random(nv)
+    shift = rng.random(nv) if shifted else None
+    matrix = assemble_stiffness(mesh, diffusivity, shift)
+    csr = as_csr(matrix)
+    assert matrix.shape == csr.shape == (nv, nv)
+    assert matrix.diagonal().tobytes() == csr.diagonal().tobytes()
+    for _ in range(4):
+        x = rng.standard_normal(nv) * 10.0 ** rng.uniform(-200.0, 200.0, nv)
+        x[rng.random(nv) < 0.2] = 0.0
+        x[rng.random(nv) < 0.2] = -0.0
+        assert (matrix @ x).tobytes() == (csr @ x).tobytes()
+    for x in (np.zeros(nv), np.full(nv, -0.0)):
+        assert (matrix @ x).tobytes() == (csr @ x).tobytes()
+
+
+def test_import_and_a_ring_run_load_no_scipy():
+    # scipy is a test dependency only; loading it would cost every run its
+    # resident memory.
+    code = (
+        "import dataclasses, sys\n"
+        "import gbmsim\n"
+        "scenario = dataclasses.replace(gbmsim.scenario_ring_width(), n_sub=4)\n"
+        "result = gbmsim.run(scenario, gbmsim.SolverConfig(t_final=0.005))\n"
+        "assert result.metrics[-1].time == 0.005\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    src = str(Path(gbmsim.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def _sha1(array):

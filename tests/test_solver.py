@@ -443,7 +443,7 @@ def test_run_guesses_from_the_last_four_tumor_fields(monkeypatch):
 
 
 def test_n_steps_is_the_step_count_of_run_and_run_homogeneous(monkeypatch):
-    config = SolverConfig(dt=3e-3, t_final=0.01)  # 3.33 steps round to 3
+    config = SolverConfig(dt=3e-3, t_final=0.01, metrics_every=1)  # 3.33 -> 3
     steps = []
     original = gbmsim.solver.step
 
@@ -487,7 +487,8 @@ def test_homogeneous_matches_mesh_step_on_constant_fields():
 
 def test_homogeneous_sign_structure_without_tumor():
     trajectory = run_homogeneous(
-        FieldTriple(0.0, 0.1, 0.5), TABLE_PARAMS, SolverConfig(t_final=5.0)
+        FieldTriple(0.0, 0.1, 0.5), TABLE_PARAMS,
+        SolverConfig(t_final=5.0, metrics_every=1),
     )
     assert np.all(trajectory.t_density == 0.0)
     assert np.all(np.diff(trajectory.phi_density) <= 0.0)
@@ -496,7 +497,8 @@ def test_homogeneous_sign_structure_without_tumor():
 
 def test_homogeneous_necrosis_bounded_and_monotone():
     trajectory = run_homogeneous(
-        FieldTriple(0.1, 0.1, 0.5), TABLE_PARAMS, SolverConfig(t_final=20.0)
+        FieldTriple(0.1, 0.1, 0.5), TABLE_PARAMS,
+        SolverConfig(t_final=20.0, metrics_every=1),
     )
     assert np.all(np.diff(trajectory.n_density) >= 0.0)
     assert np.isfinite(trajectory.n_density[-1])
@@ -505,10 +507,26 @@ def test_homogeneous_necrosis_bounded_and_monotone():
 
 def test_homogeneous_samples_every_step():
     trajectory = run_homogeneous(
-        FieldTriple(0.1, 0.0, 0.5), TABLE_PARAMS, SolverConfig(t_final=0.01)
+        FieldTriple(0.1, 0.0, 0.5), TABLE_PARAMS,
+        SolverConfig(t_final=0.01, metrics_every=1),
     )
     assert len(trajectory) == 11
     assert trajectory.times[-1] == pytest.approx(0.01)
+
+
+@pytest.mark.parametrize("every, kept", [(4, [0, 4, 8, 10]), (5, [0, 5, 10]),
+                                         (1000, [0, 10])])
+def test_homogeneous_keeps_every_metrics_step_and_the_last(every, kept):
+    start = FieldTriple(0.1, 0.0, 0.5)
+    config = SolverConfig(t_final=0.01, metrics_every=1)
+    full = run_homogeneous(start, TABLE_PARAMS, config)
+    sampled = run_homogeneous(
+        start, TABLE_PARAMS, replace(config, metrics_every=every)
+    )
+    assert len(sampled) == len(kept)
+    assert sampled.times.tolist() == [config.dt * k for k in kept]
+    for name in ("times", "t_density", "n_density", "phi_density"):
+        assert np.array_equal(getattr(sampled, name), getattr(full, name)[kept])
 
 
 def test_homogeneous_overflow_raises_at_its_step():
