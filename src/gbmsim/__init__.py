@@ -14,15 +14,11 @@ from .errors import (
     SolverFailure,
 )
 from .kinetics import (
-    DimensionalParameters,
     DimensionlessParameters,
     FieldTriple,
-    hypoxia_factor,
-    nondimensionalize,
     reaction_necrosis,
     reaction_tumor,
     reaction_vasculature,
-    rescale_spacetime,
     vascular_fraction,
 )
 from .mesh import (

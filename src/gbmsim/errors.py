@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the finiteness check."""
+"""Exception types shared across the package, and the value checks."""
 
 import math
+import operator
 
 
 class SimulationError(Exception):
@@ -19,6 +20,14 @@ def check_finite(name, value, error=InvalidParameterError):
     """Raise ``error("<name> must be finite, got <value>")`` unless it is."""
     if not math.isfinite(value):
         raise error(f"{name} must be finite, got {value!r}")
+
+
+def check_integer(name, value, error=InvalidParameterError):
+    """Raise ``error("<name> must be an integer, got <value>")`` unless it is."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
 
 
 class SolverFailure(SimulationError, RuntimeError):

@@ -58,6 +58,17 @@ DEFAULT_N_SUB = 45
 DEFAULT_UNIFORM_LEVEL = 0.5
 
 
+def _check_disc(radius_name, radius, center_name, center) -> None:
+    """Reject a nonpositive or non-finite radius, or a center not two finite numbers."""
+    if not radius > 0.0:
+        raise InvalidParameterError(f"{radius_name} must be positive, got {radius!r}")
+    check_finite(radius_name, radius)
+    if not hasattr(center, "__len__") or len(center) != 2:
+        raise InvalidParameterError(f"{center_name} must be a pair (x, y), got {center!r}")
+    for value in center:
+        check_finite(center_name, value)
+
+
 @dataclass(frozen=True)
 class BumpSpec:
     """Truncated Gaussian tumor seed: value peak at the center, standard
@@ -69,11 +80,7 @@ class BumpSpec:
     peak: float = 0.5
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise InvalidParameterError(f"bump radius must be positive, got {self.radius!r}")
-        check_finite("bump radius", self.radius)
-        for value in self.center:
-            check_finite("tumor center", value)
+        _check_disc("bump radius", self.radius, "tumor center", self.center)
         if not 0.0 < self.peak <= 1.0:
             raise InvalidParameterError(f"bump peak must lie in (0, 1], got {self.peak!r}")
 
@@ -104,11 +111,7 @@ class ZoneSpec:
     level: float
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise InvalidParameterError(f"zone radius must be positive, got {self.radius!r}")
-        check_finite("zone radius", self.radius)
-        for value in self.center:
-            check_finite("zone center", value)
+        _check_disc("zone radius", self.radius, "zone center", self.center)
         if not 0.0 <= self.level <= 1.0:
             raise InvalidParameterError(f"zone level must lie in [0, 1], got {self.level!r}")
 

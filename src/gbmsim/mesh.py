@@ -12,12 +12,11 @@ shifted slices.  No operator reads the triangle list; only VTK output does.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeshError, check_finite
+from .errors import MeshError, check_finite, check_integer
 
 __all__ = [
     "StructuredTriMesh",
@@ -153,10 +152,7 @@ def build_mesh(bounds, n_sub: int, diagonal: str = "main") -> StructuredTriMesh:
 
 def check_n_sub(n_sub) -> None:
     """Reject a grid size that is not an integer >= 1."""
-    try:
-        operator.index(n_sub)
-    except TypeError:
-        raise MeshError(f"n_sub must be an integer, got {n_sub!r}") from None
+    check_integer("n_sub", n_sub, MeshError)
     if n_sub < 1:
         raise MeshError(f"n_sub must be >= 1, got {n_sub}")
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidParameterError, SolverFailure, check_finite
+from .errors import InvalidParameterError, SolverFailure, check_finite, check_integer
 from .kinetics import DimensionlessParameters, FieldTriple, vascular_fraction
 from .mesh import StructuredTriMesh, assemble_stiffness
 from .metrics import DEFAULT_THRESHOLD, MetricsSample, compute_sample
@@ -87,6 +87,8 @@ class SolverConfig:
             raise InvalidParameterError("cadences must be >= 1")
         for item in fields(self):
             check_finite(item.name, getattr(self, item.name))
+        for name in ("cg_max_iterations", "snapshot_every", "metrics_every"):
+            check_integer(name, getattr(self, name))
         check_finite("t_final / dt", self.t_final / self.dt)
 
     @property

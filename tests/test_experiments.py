@@ -1,5 +1,6 @@
 """Scenario presets, initial conditions, and the sweep harness."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -191,6 +192,13 @@ def test_tumor_ic_rejects_non_finite_center(center):
         BumpSpec(center)
 
 
+@pytest.mark.parametrize("center", [(0.0,), (0.0, 0.0, 0.0), 0.0])
+def test_tumor_ic_rejects_center_that_is_not_a_pair(center):
+    message = rf"^tumor center must be a pair \(x, y\), got {re.escape(repr(center))}$"
+    with pytest.raises(InvalidParameterError, match=message):
+        BumpSpec(center)
+
+
 def test_scenario_rejects_empty_grid_when_built():
     with pytest.raises(MeshError, match="^n_sub must be >= 1, got 0$"):
         replace(scenario_ring_width(), n_sub=0)
@@ -339,6 +347,13 @@ def test_zone_boxes_match_the_full_field_on_random_discs(
 def test_zone_rejects_non_finite_center_and_radius(center, radius, message):
     with pytest.raises(InvalidParameterError, match=message):
         ZoneSpec(center=center, radius=radius, level=0.5)
+
+
+@pytest.mark.parametrize("center", [(0.0,), (0.0, 0.0, 0.0), 0.0])
+def test_zone_rejects_center_that_is_not_a_pair(center):
+    message = rf"^zone center must be a pair \(x, y\), got {re.escape(repr(center))}$"
+    with pytest.raises(InvalidParameterError, match=message):
+        ZoneSpec(center=center, radius=1.0, level=0.5)
 
 
 def test_zone_rejects_level_outside_unit_interval():

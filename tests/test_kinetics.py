@@ -5,6 +5,7 @@ Reaction values are checked against an independent scalar reimplementation
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,22 +13,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbmsim import (
-    DimensionalParameters,
+    DEFAULT_PARAMETERS,
+    PARAMETER_RANGES,
     DimensionlessParameters,
     FieldTriple,
     InvalidParameterError,
-    hypoxia_factor,
-    nondimensionalize,
     reaction_necrosis,
     reaction_tumor,
     reaction_vasculature,
-    rescale_spacetime,
     vascular_fraction,
 )
 
 TABLE_PARAMS = DimensionlessParameters(
     kappa1=55.0, alpha=45.0, beta1=27.5, beta2=2.55, gamma=0.255, delta=2.55
 )
+# At (1, 0, 1) P = 1/2, so sqrt(1 - P^2) = sqrt(0.75).
+ORACLE_STATES = ((0.2, 0.1, 0.4), (1.0, 0.0, 1.0))
+# Phi just above 1 with T = 0 puts P above 1 before the clip, which alone
+# keeps sqrt(1 - P^2) from being NaN.
+OVERSHOOT = FieldTriple(0.0, 0.0, 1.0 + 1e-12)
 
 
 # --- independent scalar oracle -------------------------------------------
@@ -48,7 +52,7 @@ def oracle_reactions(t, n, phi, p):
     return f1, f2, f3
 
 
-# --- vascular fraction and hypoxia ---------------------------------------
+# --- vascular fraction ---------------------------------------------------
 
 def test_fraction_zero_vasculature():
     assert vascular_fraction(0.0, 0.7) == 0.0
@@ -81,23 +85,11 @@ def test_fraction_monotone_on_grid():
     assert np.all(np.diff(p, axis=1) <= 1e-15)
 
 
-def test_hypoxia_factor_extremes():
-    assert hypoxia_factor(0.0, 0.4) == 1.0
-    assert hypoxia_factor(1.0, 0.0) == 0.0
-    assert hypoxia_factor(1.0, 1.0) == pytest.approx(math.sqrt(0.75), abs=1e-15)
-
-
-def test_hypoxia_factor_survives_overshoot():
-    # phi marginally above 1 must not produce a negative radicand
-    value = hypoxia_factor(1.0 + 1e-12, 0.0)
-    assert 0.0 <= value <= 1.0
-
-
 # --- reaction terms -------------------------------------------------------
 
 def test_reaction_tumor_vanishes_without_tumor():
-    state = FieldTriple(0.0, 0.3, 0.8)
-    assert reaction_tumor(state, TABLE_PARAMS) == 0.0
+    for state in (FieldTriple(0.0, 0.3, 0.8), OVERSHOOT):
+        assert reaction_tumor(state, TABLE_PARAMS) == 0.0
 
 
 def test_reaction_tumor_pure_hypoxia():
@@ -106,15 +98,22 @@ def test_reaction_tumor_pure_hypoxia():
 
 
 def test_reaction_tumor_mixed_state():
-    state = FieldTriple(0.2, 0.1, 0.4)
-    expected = oracle_reactions(0.2, 0.1, 0.4, TABLE_PARAMS)[0]
-    assert expected == pytest.approx(-8.585591081631885, abs=1e-12)
-    assert reaction_tumor(state, TABLE_PARAMS) == pytest.approx(expected, abs=1e-12)
+    assert oracle_reactions(0.2, 0.1, 0.4, TABLE_PARAMS)[0] == pytest.approx(
+        -8.585591081631885, abs=1e-12
+    )
+    assert oracle_reactions(1.0, 0.0, 1.0, TABLE_PARAMS)[0] == pytest.approx(
+        -0.5 - 45.0 * math.sqrt(0.75), abs=1e-12
+    )
+    for t, n, phi in ORACLE_STATES:
+        expected = oracle_reactions(t, n, phi, TABLE_PARAMS)[0]
+        assert reaction_tumor(FieldTriple(t, n, phi), TABLE_PARAMS) == pytest.approx(
+            expected, abs=1e-12
+        )
 
 
 def test_reaction_necrosis_vanishes_without_partners():
-    state = FieldTriple(0.0, 0.5, 0.0)
-    assert reaction_necrosis(state, TABLE_PARAMS) == 0.0
+    for state in (FieldTriple(0.0, 0.5, 0.0), OVERSHOOT):
+        assert reaction_necrosis(state, TABLE_PARAMS) == 0.0
 
 
 def test_reaction_necrosis_vasculature_conversion_only():
@@ -123,10 +122,14 @@ def test_reaction_necrosis_vasculature_conversion_only():
 
 
 def test_reaction_necrosis_mixed_state():
-    state = FieldTriple(0.2, 0.1, 0.4)
-    expected = oracle_reactions(0.2, 0.1, 0.4, TABLE_PARAMS)[1]
-    assert expected == pytest.approx(8.91825774829855, abs=1e-12)
-    assert reaction_necrosis(state, TABLE_PARAMS) == pytest.approx(expected, abs=1e-12)
+    assert oracle_reactions(0.2, 0.1, 0.4, TABLE_PARAMS)[1] == pytest.approx(
+        8.91825774829855, abs=1e-12
+    )
+    for t, n, phi in ORACLE_STATES:
+        expected = oracle_reactions(t, n, phi, TABLE_PARAMS)[1]
+        assert reaction_necrosis(FieldTriple(t, n, phi), TABLE_PARAMS) == pytest.approx(
+            expected, abs=1e-12
+        )
 
 
 def test_reaction_vasculature_vanishes_without_vasculature():
@@ -135,12 +138,14 @@ def test_reaction_vasculature_vanishes_without_vasculature():
 
 
 def test_reaction_vasculature_mixed_state():
-    state = FieldTriple(0.2, 0.1, 0.4)
-    expected = oracle_reactions(0.2, 0.1, 0.4, TABLE_PARAMS)[2]
-    assert expected == pytest.approx(-0.30051766473115704, abs=1e-12)
-    assert reaction_vasculature(state, TABLE_PARAMS) == pytest.approx(
-        expected, abs=1e-12
+    assert oracle_reactions(0.2, 0.1, 0.4, TABLE_PARAMS)[2] == pytest.approx(
+        -0.30051766473115704, abs=1e-12
     )
+    for t, n, phi in ORACLE_STATES:
+        expected = oracle_reactions(t, n, phi, TABLE_PARAMS)[2]
+        assert reaction_vasculature(
+            FieldTriple(t, n, phi), TABLE_PARAMS
+        ) == pytest.approx(expected, abs=1e-12)
 
 
 def test_reaction_vasculature_mirrors_necrosis_without_tumor():
@@ -199,69 +204,27 @@ def test_exchange_identity_property(t, n, phi, alpha, beta1, beta2, gamma, delta
     assert abs(float(total) - target) <= 1e-12
 
 
+def test_no_tumor_growth_anywhere_in_the_parameter_box():
+    # Per unit T the tumor rate is at most (alpha* - alpha) sqrt(1 - P^2), where
+    # alpha* is the largest P (1 - T - N - Phi)_+ / sqrt(1 - P^2).  That is at
+    # T = N = 0, where it reads 2 Phi sqrt((1 - Phi) / (1 + 3 Phi)), largest at
+    # Phi = 1/sqrt(3).
+    phi_star = 1.0 / math.sqrt(3.0)
+    alpha_star = 2.0 * phi_star * math.sqrt((1.0 - phi_star) / (1.0 + 3.0 * phi_star))
+    assert alpha_star == pytest.approx(0.454167, abs=1e-6)
+
+    low = PARAMETER_RANGES["alpha"][0]
+    assert low == 10.0
+    grid = np.linspace(0.0, 1.0, 41)
+    t, n, phi = np.meshgrid(grid[1:], grid, grid, indexing="ij")
+    decaying = replace(DEFAULT_PARAMETERS, alpha=low)
+    assert reaction_tumor(FieldTriple(t, n, phi), decaying).max() < 0.0
+
+    growing = replace(DEFAULT_PARAMETERS, alpha=0.9 * alpha_star)
+    assert reaction_tumor(FieldTriple(1e-6, 0.0, phi_star), growing) > 0.0
+
+
 # --- parameter scaling ----------------------------------------------------
-
-def test_nondimensionalize_identity_scaling():
-    p = DimensionalParameters(
-        kappa1=2, kappa0=1, rho=1, alpha=3, beta1=4, beta2=5, gamma=6, delta=7, K=1
-    )
-    q = nondimensionalize(p)
-    assert (q.kappa1, q.alpha, q.beta1, q.beta2, q.gamma, q.delta) == (
-        2, 3, 4, 5, 6, 7,
-    )
-
-
-def test_nondimensionalize_table_formulas():
-    p = DimensionalParameters(
-        kappa1=0.02, kappa0=0.01, rho=0.5, alpha=1.0,
-        beta1=0.25, beta2=0.5, gamma=0.1, delta=0.125, K=2.0,
-    )
-    q = nondimensionalize(p)
-    assert (q.kappa1, q.alpha, q.beta1, q.beta2, q.gamma, q.delta) == (
-        2.0, 2.0, 1.0, 2.0, 0.2, 0.5,
-    )
-
-
-def test_nondimensionalize_rejects_zero_kappa0():
-    with pytest.raises(InvalidParameterError):
-        DimensionalParameters(
-            kappa1=1, kappa0=0, rho=1, alpha=1, beta1=1, beta2=1,
-            gamma=1, delta=1, K=1,
-        )
-
-
-def test_rescale_identity():
-    assert rescale_spacetime(0.7, 1.3, 1.0, 1.0) == (0.7, 1.3)
-
-
-def test_rescale_example():
-    y, s = rescale_spacetime(2.0, 3.0, 1.0, 4.0)
-    assert y == pytest.approx(4.0) and s == pytest.approx(12.0)
-
-
-def test_rescale_origin_fixed():
-    assert rescale_spacetime(0.0, 0.0, 0.3, 2.0) == (0.0, 0.0)
-
-
-def test_rescale_rejects_nonpositive_scales():
-    with pytest.raises(InvalidParameterError):
-        rescale_spacetime(1.0, 1.0, 0.0, 1.0)
-    with pytest.raises(InvalidParameterError):
-        rescale_spacetime(1.0, 1.0, 1.0, -2.0)
-
-
-@pytest.mark.parametrize("name", ["kappa0", "rho"])
-def test_rescale_rejects_infinite_scales_like_the_parameters(name):
-    scales = {"kappa0": 1.0, "rho": 1.0, name: math.inf}
-    rates = dict.fromkeys(
-        ("kappa1", "alpha", "beta1", "beta2", "gamma", "delta", "K"), 1.0
-    )
-    with pytest.raises(InvalidParameterError) as expected:
-        DimensionalParameters(**rates, **scales)
-    with pytest.raises(InvalidParameterError) as info:
-        rescale_spacetime(1.0, 1.0, scales["kappa0"], scales["rho"])
-    assert str(info.value) == str(expected.value) == f"{name} must be finite, got inf"
-
 
 def test_dimensional_consistency_random():
     # f_dimless(T/K, N/K, Phi/K; scaled rates) == f_dimensional / (rho * K)
@@ -270,8 +233,14 @@ def test_dimensional_consistency_random():
         k1, k0, rho, alpha, beta1, beta2, gamma, delta, cap = rng.uniform(
             0.05, 3.0, size=9
         )
-        dims = DimensionalParameters(k1, k0, rho, alpha, beta1, beta2, gamma, delta, cap)
-        q = nondimensionalize(dims)
+        q = DimensionlessParameters(
+            kappa1=k1 / k0,
+            alpha=alpha / rho,
+            beta1=cap * beta1 / rho,
+            beta2=cap * beta2 / rho,
+            gamma=gamma / rho,
+            delta=cap * delta / rho,
+        )
         t, n, phi = rng.uniform(0.0, cap, size=3)
 
         # dimensional oracle with explicit carrying capacity
@@ -306,14 +275,6 @@ def test_dimensionless_parameters_reject_infinite(index):
     rates[index] = math.inf
     with pytest.raises(InvalidParameterError, match="must be finite, got inf"):
         DimensionlessParameters(*rates)
-
-
-@pytest.mark.parametrize("index", range(9))
-def test_dimensional_parameters_reject_infinite(index):
-    rates = [0.02, 0.01, 0.5, 1.0, 0.25, 0.5, 0.1, 0.125, 2.0]
-    rates[index] = math.inf
-    with pytest.raises(InvalidParameterError, match="must be finite, got inf"):
-        DimensionalParameters(*rates)
 
 
 def test_dimensionless_parameters_reject_negative():

@@ -558,6 +558,12 @@ def test_solver_config_requires_finite_values(name):
         SolverConfig(**{name: float("inf")})
 
 
+@pytest.mark.parametrize("name", ["cg_max_iterations", "snapshot_every", "metrics_every"])
+def test_solver_config_requires_integer_counts(name):
+    with pytest.raises(InvalidParameterError, match=rf"^{name} must be an integer, got 1\.5$"):
+        SolverConfig(**{name: 1.5})
+
+
 # --- scheme robustness ----------------------------------------------------------
 
 @pytest.mark.slow
