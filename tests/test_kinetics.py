@@ -29,9 +29,6 @@ TABLE_PARAMS = DimensionlessParameters(
 )
 # At (1, 0, 1) P = 1/2, so sqrt(1 - P^2) = sqrt(0.75).
 ORACLE_STATES = ((0.2, 0.1, 0.4), (1.0, 0.0, 1.0))
-# Phi just above 1 with T = 0 puts P above 1 before the clip, which alone
-# keeps sqrt(1 - P^2) from being NaN.
-OVERSHOOT = FieldTriple(0.0, 0.0, 1.0 + 1e-12)
 
 
 # --- independent scalar oracle -------------------------------------------
@@ -88,8 +85,8 @@ def test_fraction_monotone_on_grid():
 # --- reaction terms -------------------------------------------------------
 
 def test_reaction_tumor_vanishes_without_tumor():
-    for state in (FieldTriple(0.0, 0.3, 0.8), OVERSHOOT):
-        assert reaction_tumor(state, TABLE_PARAMS) == 0.0
+    state = FieldTriple(0.0, 0.3, 0.8)
+    assert reaction_tumor(state, TABLE_PARAMS) == 0.0
 
 
 def test_reaction_tumor_pure_hypoxia():
@@ -111,9 +108,28 @@ def test_reaction_tumor_mixed_state():
         )
 
 
+def test_reaction_tumor_hypoxic_death_factor():
+    # The hypoxic death term is alpha * T * sqrt(1 - P^2); removing alpha
+    # isolates sqrt(1 - P^2): 1 without vasculature, sqrt(0.75) at P = 1/2.
+    no_death = replace(TABLE_PARAMS, alpha=0.0)
+    cases = (((0.4, 0.0, 0.0), 1.0), ((1.0, 0.0, 1.0), math.sqrt(0.75)))
+    for (t, n, phi), factor in cases:
+        state = FieldTriple(t, n, phi)
+        death = reaction_tumor(state, no_death) - reaction_tumor(state, TABLE_PARAMS)
+        assert death / (TABLE_PARAMS.alpha * t) == pytest.approx(factor, abs=1e-14)
+
+
+def test_reactions_finite_past_full_vasculature():
+    # Phi just above 1 with T = 0 puts P above 1 before the clip, which alone
+    # keeps sqrt(1 - P^2) from being NaN (a RuntimeWarning fails the test).
+    state = FieldTriple(0.0, 0.0, 1.0 + 1e-12)
+    for reaction in (reaction_tumor, reaction_necrosis, reaction_vasculature):
+        assert reaction(state, TABLE_PARAMS) == 0.0
+
+
 def test_reaction_necrosis_vanishes_without_partners():
-    for state in (FieldTriple(0.0, 0.5, 0.0), OVERSHOOT):
-        assert reaction_necrosis(state, TABLE_PARAMS) == 0.0
+    state = FieldTriple(0.0, 0.5, 0.0)
+    assert reaction_necrosis(state, TABLE_PARAMS) == 0.0
 
 
 def test_reaction_necrosis_vasculature_conversion_only():
