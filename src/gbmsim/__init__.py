@@ -16,9 +16,7 @@ from .errors import (
 from .kinetics import (
     DimensionlessParameters,
     FieldTriple,
-    reaction_necrosis,
-    reaction_tumor,
-    reaction_vasculature,
+    reactions,
     vascular_fraction,
 )
 from .mesh import (

@@ -18,8 +18,12 @@ class MeshError(SimulationError, ValueError):
 
 def check_finite(name, value, error=InvalidParameterError):
     """Raise ``error("<name> must be finite, got <value>")`` unless it is."""
-    if not math.isfinite(value):
-        raise error(f"{name} must be finite, got {value!r}")
+    try:
+        if math.isfinite(value):
+            return
+    except TypeError:  # not a real number
+        pass
+    raise error(f"{name} must be finite, got {value!r}")
 
 
 def check_integer(name, value, error=InvalidParameterError):

@@ -60,13 +60,23 @@ DEFAULT_UNIFORM_LEVEL = 0.5
 
 def _check_disc(radius_name, radius, center_name, center) -> None:
     """Reject a nonpositive or non-finite radius, or a center not two finite numbers."""
+    check_finite(radius_name, radius)
     if not radius > 0.0:
         raise InvalidParameterError(f"{radius_name} must be positive, got {radius!r}")
-    check_finite(radius_name, radius)
     if not hasattr(center, "__len__") or len(center) != 2:
         raise InvalidParameterError(f"{center_name} must be a pair (x, y), got {center!r}")
     for value in center:
         check_finite(center_name, value)
+
+
+def _check_level(name, level) -> None:
+    """Reject a density level that is not a real number in [0, 1]."""
+    try:
+        if 0.0 <= level <= 1.0:
+            return
+    except (TypeError, ValueError):  # not a real number
+        pass
+    raise InvalidParameterError(f"{name} level must lie in [0, 1], got {level!r}")
 
 
 @dataclass(frozen=True)
@@ -112,8 +122,7 @@ class ZoneSpec:
 
     def __post_init__(self):
         _check_disc("zone radius", self.radius, "zone center", self.center)
-        if not 0.0 <= self.level <= 1.0:
-            raise InvalidParameterError(f"zone level must lie in [0, 1], got {self.level!r}")
+        _check_level("zone", self.level)
 
 
 def _corridor(direction, level, distances=(2.2, 3.2, 4.2), radius=1.0):
@@ -146,10 +155,7 @@ class ZonedVasculature:
     zones: tuple[ZoneSpec, ...]
 
     def __post_init__(self):
-        if not 0.0 <= self.base_level <= 1.0:
-            raise InvalidParameterError(
-                f"vasculature level must lie in [0, 1], got {self.base_level!r}"
-            )
+        _check_level("vasculature", self.base_level)
 
     def field(self, mesh: StructuredTriMesh) -> np.ndarray:
         """The vasculature at the mesh's vertices."""
@@ -179,10 +185,7 @@ class Scenario:
     def __post_init__(self):
         check_bounds(*self.bounds)
         check_n_sub(self.n_sub)
-        if not 0.0 <= self.necrosis_level <= 1.0:
-            raise InvalidParameterError(
-                f"necrosis level must lie in [0, 1], got {self.necrosis_level!r}"
-            )
+        _check_level("necrosis", self.necrosis_level)
         self.tumor_ic.check_within(self.bounds)
         xmin, xmax, ymin, ymax = self.bounds
         for zone in self.vasculature_ic.zones:

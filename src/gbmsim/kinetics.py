@@ -1,6 +1,6 @@
 """Pointwise kinetics of the dimensionless tumor / necrosis / vasculature system.
 
-All reaction functions operate on the normalized system (carrying capacity 1,
+Every function here operates on the normalized system (carrying capacity 1,
 unit proliferation rate, unit baseline diffusivity).  Every function accepts
 scalars or numpy arrays and is free of shared mutable state, so concurrent
 evaluation is safe.
@@ -18,9 +18,7 @@ __all__ = [
     "DimensionlessParameters",
     "FieldTriple",
     "vascular_fraction",
-    "reaction_tumor",
-    "reaction_necrosis",
-    "reaction_vasculature",
+    "reactions",
 ]
 
 
@@ -75,42 +73,19 @@ def vascular_fraction(phi, t):
     return np.minimum(fraction, 1.0)
 
 
-def reaction_tumor(state: FieldTriple, p: DimensionlessParameters):
-    """Net tumor rate: vasculature-driven logistic growth minus hypoxic death
-    and destruction by necrosis."""
+def reactions(state: FieldTriple, p: DimensionlessParameters):
+    """The tumor, necrosis and vasculature rates, in that order.  Necrosis
+    gains every death term the other two lose (hypoxia and destruction by
+    necrosis; destruction by tumor and by necrosis), so it is nonnegative
+    whenever the state is, and never resorbs."""
     t, n, phi = state.t_density, state.n_density, state.phi_density
     frac = vascular_fraction(phi, t)
     lack = np.sqrt(1.0 - frac * frac)
     crowding = 1.0 - (t + n + phi)
-    return t * frac * crowding - p.alpha * t * lack - p.beta1 * n * t
-
-
-def reaction_necrosis(state: FieldTriple, p: DimensionlessParameters):
-    """Necrosis rate: the sum of every death term of the other two fields.
-
-    Nonnegative whenever all state components are nonnegative, so necrosis
-    never resorbs.
-    """
-    t, n, phi = state.t_density, state.n_density, state.phi_density
-    frac = vascular_fraction(phi, t)
-    lack = np.sqrt(1.0 - frac * frac)
+    hypoxia, t_by_n = p.alpha * t * lack, p.beta1 * n * t
+    phi_by_t, phi_by_n = p.delta * t * phi, p.beta2 * n * phi
     return (
-        p.alpha * t * lack
-        + p.beta1 * n * t
-        + p.delta * t * phi
-        + p.beta2 * n * phi
-    )
-
-
-def reaction_vasculature(state: FieldTriple, p: DimensionlessParameters):
-    """Vasculature rate: tumor-fueled logistic growth minus destruction by
-    tumor and necrosis."""
-    t, n, phi = state.t_density, state.n_density, state.phi_density
-    frac = vascular_fraction(phi, t)
-    lack = np.sqrt(1.0 - frac * frac)
-    crowding = 1.0 - (t + n + phi)
-    return (
-        p.gamma * t * lack * phi * crowding
-        - p.delta * t * phi
-        - p.beta2 * n * phi
+        t * frac * crowding - hypoxia - t_by_n,
+        hypoxia + t_by_n + phi_by_t + phi_by_n,
+        p.gamma * t * lack * phi * crowding - phi_by_t - phi_by_n,
     )

@@ -24,6 +24,7 @@ __all__ = [
     "build_mesh",
     "check_bounds",
     "check_n_sub",
+    "vertex_field",
     "assemble_stiffness",
     "lumped_integral",
 ]
@@ -168,6 +169,15 @@ def check_bounds(xmin, xmax, ymin, ymax) -> None:
         raise MeshError(f"degenerate bounds {(xmin, xmax, ymin, ymax)!r}")
 
 
+def vertex_field(mesh: StructuredTriMesh, name: str, values) -> np.ndarray:
+    """``values`` as a float array; raise :class:`MeshError` naming the field
+    unless it holds one value per vertex of ``mesh``."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (mesh.num_vertices,):
+        raise MeshError(f"{name} has shape {values.shape}, not ({mesh.num_vertices},)")
+    return values
+
+
 @functools.lru_cache(maxsize=None)
 def _stencil_layout(n_sub: int):
     """CSR layout of the 5-point stencil on the (n_sub + 1)^2 vertex grid.
@@ -268,15 +278,9 @@ def assemble_stiffness(
     the matrix annihilates constants.  The optional per-vertex ``shift``
     (the solver's lumped mass and reaction terms) is added after that sum.
     """
-    diffusivity = np.asarray(diffusivity, dtype=float)
-    if diffusivity.shape != (mesh.num_vertices,):
-        raise MeshError(
-            f"diffusivity has length {diffusivity.size}, "
-            f"mesh has {mesh.num_vertices} vertices"
-        )
     n = mesh.n_sub
     m = n + 1
-    d = diffusivity.reshape(m, m)
+    d = vertex_field(mesh, "diffusivity", diffusivity).reshape(m, m)
     d00, d10, d01, d11 = d[:-1, :-1], d[:-1, 1:], d[1:, :-1], d[1:, 1:]
     # Three times the triangle means.  The lower triangle of a cell holds its
     # bottom edge, the upper one its top edge; the diagonal decides which of
@@ -307,17 +311,11 @@ def assemble_stiffness(
     centre[:-1] += south[1:]
     np.negative(centre, out=centre)
     if shift is not None:
-        centre += np.reshape(shift, (m, m))
+        centre += vertex_field(mesh, "shift", shift).reshape(m, m)
 
     return StencilMatrix(planes, _stencil_layout(n))
 
 
 def lumped_integral(mesh: StructuredTriMesh, field_values) -> float:
     """Lumped quadrature of a vertex field: sum of weight(v) * field(v)."""
-    field_values = np.asarray(field_values, dtype=float)
-    if field_values.shape != (mesh.num_vertices,):
-        raise MeshError(
-            f"field has length {field_values.size}, "
-            f"mesh has {mesh.num_vertices} vertices"
-        )
-    return float(np.dot(mesh.lumped_weights, field_values))
+    return float(np.dot(mesh.lumped_weights, vertex_field(mesh, "field", field_values)))

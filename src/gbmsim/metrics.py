@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (
     EmptyRegionError, InvalidParameterError, SimulationError, check_finite
 )
-from .mesh import StructuredTriMesh, lumped_integral
+from .mesh import StructuredTriMesh, lumped_integral, vertex_field
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -100,14 +100,15 @@ def compute_sample(
 ) -> MetricsSample:
     """Evaluate the observable set of one state (see :class:`MetricsSample`)."""
     check_threshold(theta)
-    total = state.t_field + state.n_field
+    t_field = vertex_field(mesh, "T", state.t_field)
+    total = t_field + vertex_field(mesh, "N", state.n_field)
     region = np.flatnonzero(total >= theta)
     area = float(mesh.lumped_weights[region].sum())
     sq = r_max = math.nan
     if len(region):
         r_max = max_radius(mesh.vertices[region])
         sq = _regularity(area, r_max, mesh)
-    tumor_density = lumped_integral(mesh, state.t_field)
+    tumor_density = lumped_integral(mesh, t_field)
     total_tn_density = lumped_integral(mesh, total)
     return MetricsSample(
         time=state.time,

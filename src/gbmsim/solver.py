@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, SolverFailure, check_finite, check_integer
 from .kinetics import DimensionlessParameters, FieldTriple, vascular_fraction
-from .mesh import StructuredTriMesh, assemble_stiffness
+from .mesh import StructuredTriMesh, assemble_stiffness, vertex_field
 from .metrics import DEFAULT_THRESHOLD, MetricsSample, compute_sample
 
 __all__ = [
@@ -249,13 +249,9 @@ def step(
     old tumor field and changes only the iteration count.
     """
     dt = config.dt
-    t_old = state.t_field
-    n_old = state.n_field
-    phi_old = state.phi_field
-    if not (
-        t_old.shape == n_old.shape == phi_old.shape == (mesh.num_vertices,)
-    ):
-        raise InvalidParameterError("state field lengths do not match the mesh")
+    t_old = vertex_field(mesh, "T", state.t_field)
+    n_old = vertex_field(mesh, "N", state.n_field)
+    phi_old = vertex_field(mesh, "Phi", state.phi_field)
     if guess is None:
         guess = t_old
     elif not np.size(guess) or np.atleast_2d(guess).shape[1:] != t_old.shape:

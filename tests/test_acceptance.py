@@ -169,11 +169,8 @@ def test_criterion_01_kinetics_exchange_identity():
         lack = np.sqrt(1.0 - p * p)
         crowd = 1.0 - (t + n + phi)
         target = t * p * crowd + params.gamma * t * lack * phi * crowd
-        total = (
-            g.reaction_tumor(state, params)
-            + g.reaction_necrosis(state, params)
-            + g.reaction_vasculature(state, params)
-        )
+        tumor, necrosis, vasculature = g.reactions(state, params)
+        total = tumor + necrosis + vasculature
         worst = max(worst, float(np.abs(total - target).max()))
     elapsed = time.perf_counter() - started
     check(

@@ -186,7 +186,10 @@ def test_tumor_ic_rejects_outside_center():
         replace(scenario_ring_width(), tumor_ic=BumpSpec((12.0, 0.0)))
 
 
-@pytest.mark.parametrize("center", [(float("nan"), 0.0), (0.0, float("inf"))])
+# The last two are not pairs of real numbers.
+@pytest.mark.parametrize(
+    "center", [(float("nan"), 0.0), (0.0, float("inf")), np.zeros((2, 2)), ("a", "b")]
+)
 def test_tumor_ic_rejects_non_finite_center(center):
     with pytest.raises(InvalidParameterError, match="^tumor center must be finite"):
         BumpSpec(center)
@@ -197,6 +200,11 @@ def test_tumor_ic_rejects_center_that_is_not_a_pair(center):
     message = rf"^tumor center must be a pair \(x, y\), got {re.escape(repr(center))}$"
     with pytest.raises(InvalidParameterError, match=message):
         BumpSpec(center)
+
+
+def test_tumor_ic_rejects_radius_that_is_not_a_real_number():
+    with pytest.raises(InvalidParameterError, match="^bump radius must be finite, got '3'$"):
+        BumpSpec(radius="3")
 
 
 def test_scenario_rejects_empty_grid_when_built():
@@ -359,6 +367,21 @@ def test_zone_rejects_center_that_is_not_a_pair(center):
 def test_zone_rejects_level_outside_unit_interval():
     with pytest.raises(InvalidParameterError, match=r"zone level must lie in \[0, 1\], got 1.5"):
         ZoneSpec(center=(0.0, 0.0), radius=1.0, level=1.5)
+
+
+LEVEL_HOLDERS = {
+    "zone": lambda level: ZoneSpec(center=(0.0, 0.0), radius=1.0, level=level),
+    "vasculature": lambda level: ZonedVasculature(level, ()),
+    "necrosis": lambda level: replace(scenario_ring_width(), necrosis_level=level),
+}
+
+
+@pytest.mark.parametrize("level", ["0.5", None, np.zeros(2)], ids=["text", "None", "array"])
+@pytest.mark.parametrize("kind", list(LEVEL_HOLDERS))
+def test_levels_reject_a_level_that_is_not_a_real_number(kind, level):
+    message = rf"^{kind} level must lie in \[0, 1\], got {re.escape(repr(level))}$"
+    with pytest.raises(InvalidParameterError, match=message):
+        LEVEL_HOLDERS[kind](level)
 
 
 def test_zone_outside_domain_rejected():

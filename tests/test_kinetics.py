@@ -18,9 +18,7 @@ from gbmsim import (
     DimensionlessParameters,
     FieldTriple,
     InvalidParameterError,
-    reaction_necrosis,
-    reaction_tumor,
-    reaction_vasculature,
+    reactions,
     vascular_fraction,
 )
 
@@ -86,12 +84,12 @@ def test_fraction_monotone_on_grid():
 
 def test_reaction_tumor_vanishes_without_tumor():
     state = FieldTriple(0.0, 0.3, 0.8)
-    assert reaction_tumor(state, TABLE_PARAMS) == 0.0
+    assert reactions(state, TABLE_PARAMS)[0] == 0.0
 
 
 def test_reaction_tumor_pure_hypoxia():
     state = FieldTriple(0.2, 0.0, 0.0)
-    assert reaction_tumor(state, TABLE_PARAMS) == pytest.approx(-9.0, abs=1e-14)
+    assert reactions(state, TABLE_PARAMS)[0] == pytest.approx(-9.0, abs=1e-14)
 
 
 def test_reaction_tumor_mixed_state():
@@ -103,7 +101,7 @@ def test_reaction_tumor_mixed_state():
     )
     for t, n, phi in ORACLE_STATES:
         expected = oracle_reactions(t, n, phi, TABLE_PARAMS)[0]
-        assert reaction_tumor(FieldTriple(t, n, phi), TABLE_PARAMS) == pytest.approx(
+        assert reactions(FieldTriple(t, n, phi), TABLE_PARAMS)[0] == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -115,7 +113,7 @@ def test_reaction_tumor_hypoxic_death_factor():
     cases = (((0.4, 0.0, 0.0), 1.0), ((1.0, 0.0, 1.0), math.sqrt(0.75)))
     for (t, n, phi), factor in cases:
         state = FieldTriple(t, n, phi)
-        death = reaction_tumor(state, no_death) - reaction_tumor(state, TABLE_PARAMS)
+        death = reactions(state, no_death)[0] - reactions(state, TABLE_PARAMS)[0]
         assert death / (TABLE_PARAMS.alpha * t) == pytest.approx(factor, abs=1e-14)
 
 
@@ -123,18 +121,18 @@ def test_reactions_finite_past_full_vasculature():
     # Phi just above 1 with T = 0 puts P above 1 before the clip, which alone
     # keeps sqrt(1 - P^2) from being NaN (a RuntimeWarning fails the test).
     state = FieldTriple(0.0, 0.0, 1.0 + 1e-12)
-    for reaction in (reaction_tumor, reaction_necrosis, reaction_vasculature):
-        assert reaction(state, TABLE_PARAMS) == 0.0
+    for rate in reactions(state, TABLE_PARAMS):
+        assert rate == 0.0
 
 
 def test_reaction_necrosis_vanishes_without_partners():
     state = FieldTriple(0.0, 0.5, 0.0)
-    assert reaction_necrosis(state, TABLE_PARAMS) == 0.0
+    assert reactions(state, TABLE_PARAMS)[1] == 0.0
 
 
 def test_reaction_necrosis_vasculature_conversion_only():
     state = FieldTriple(0.0, 0.2, 0.5)
-    assert reaction_necrosis(state, TABLE_PARAMS) == pytest.approx(0.255, abs=1e-15)
+    assert reactions(state, TABLE_PARAMS)[1] == pytest.approx(0.255, abs=1e-15)
 
 
 def test_reaction_necrosis_mixed_state():
@@ -143,14 +141,14 @@ def test_reaction_necrosis_mixed_state():
     )
     for t, n, phi in ORACLE_STATES:
         expected = oracle_reactions(t, n, phi, TABLE_PARAMS)[1]
-        assert reaction_necrosis(FieldTriple(t, n, phi), TABLE_PARAMS) == pytest.approx(
+        assert reactions(FieldTriple(t, n, phi), TABLE_PARAMS)[1] == pytest.approx(
             expected, abs=1e-12
         )
 
 
 def test_reaction_vasculature_vanishes_without_vasculature():
     state = FieldTriple(0.7, 0.2, 0.0)
-    assert reaction_vasculature(state, TABLE_PARAMS) == 0.0
+    assert reactions(state, TABLE_PARAMS)[2] == 0.0
 
 
 def test_reaction_vasculature_mixed_state():
@@ -159,15 +157,15 @@ def test_reaction_vasculature_mixed_state():
     )
     for t, n, phi in ORACLE_STATES:
         expected = oracle_reactions(t, n, phi, TABLE_PARAMS)[2]
-        assert reaction_vasculature(
-            FieldTriple(t, n, phi), TABLE_PARAMS
-        ) == pytest.approx(expected, abs=1e-12)
+        assert reactions(FieldTriple(t, n, phi), TABLE_PARAMS)[2] == pytest.approx(
+            expected, abs=1e-12
+        )
 
 
 def test_reaction_vasculature_mirrors_necrosis_without_tumor():
     state = FieldTriple(0.0, 0.2, 0.5)
-    assert reaction_vasculature(state, TABLE_PARAMS) == pytest.approx(
-        -reaction_necrosis(state, TABLE_PARAMS), abs=1e-15
+    assert reactions(state, TABLE_PARAMS)[2] == pytest.approx(
+        -reactions(state, TABLE_PARAMS)[1], abs=1e-15
     )
 
 
@@ -175,7 +173,7 @@ def test_necrosis_nonnegative_on_random_states():
     rng = np.random.default_rng(7)
     t, n, phi = rng.random((3, 10_000))
     state = FieldTriple(t, n, phi)
-    assert np.all(reaction_necrosis(state, TABLE_PARAMS) >= 0.0)
+    assert np.all(reactions(state, TABLE_PARAMS)[1] >= 0.0)
 
 
 def test_exchange_identity_random_states():
@@ -186,11 +184,8 @@ def test_exchange_identity_random_states():
     lack = np.sqrt(1.0 - p * p)
     crowd = 1.0 - (t + n + phi)
     target = t * p * crowd + TABLE_PARAMS.gamma * t * lack * phi * crowd
-    total = (
-        reaction_tumor(state, TABLE_PARAMS)
-        + reaction_necrosis(state, TABLE_PARAMS)
-        + reaction_vasculature(state, TABLE_PARAMS)
-    )
+    tumor, necrosis, vasculature = reactions(state, TABLE_PARAMS)
+    total = tumor + necrosis + vasculature
     assert np.abs(total - target).max() <= 1e-12
 
 
@@ -212,11 +207,8 @@ def test_exchange_identity_property(t, n, phi, alpha, beta1, beta2, gamma, delta
     lack = math.sqrt(1.0 - p * p)
     crowd = 1.0 - (t + n + phi)
     target = t * p * crowd + gamma * t * lack * phi * crowd
-    total = (
-        reaction_tumor(state, params)
-        + reaction_necrosis(state, params)
-        + reaction_vasculature(state, params)
-    )
+    tumor, necrosis, vasculature = reactions(state, params)
+    total = tumor + necrosis + vasculature
     assert abs(float(total) - target) <= 1e-12
 
 
@@ -234,10 +226,10 @@ def test_no_tumor_growth_anywhere_in_the_parameter_box():
     grid = np.linspace(0.0, 1.0, 41)
     t, n, phi = np.meshgrid(grid[1:], grid, grid, indexing="ij")
     decaying = replace(DEFAULT_PARAMETERS, alpha=low)
-    assert reaction_tumor(FieldTriple(t, n, phi), decaying).max() < 0.0
+    assert reactions(FieldTriple(t, n, phi), decaying)[0].max() < 0.0
 
     growing = replace(DEFAULT_PARAMETERS, alpha=0.9 * alpha_star)
-    assert reaction_tumor(FieldTriple(1e-6, 0.0, phi_star), growing) > 0.0
+    assert reactions(FieldTriple(1e-6, 0.0, phi_star), growing)[0] > 0.0
 
 
 # --- parameter scaling ----------------------------------------------------
@@ -274,13 +266,13 @@ def test_dimensional_consistency_random():
 
         state = FieldTriple(t / cap, n / cap, phi / cap)
         scale = rho * cap
-        assert float(reaction_tumor(state, q)) == pytest.approx(
+        assert float(reactions(state, q)[0]) == pytest.approx(
             f1 / scale, abs=1e-12
         )
-        assert float(reaction_necrosis(state, q)) == pytest.approx(
+        assert float(reactions(state, q)[1]) == pytest.approx(
             f2 / scale, abs=1e-12
         )
-        assert float(reaction_vasculature(state, q)) == pytest.approx(
+        assert float(reactions(state, q)[2]) == pytest.approx(
             f3 / scale, abs=1e-12
         )
 

@@ -20,14 +20,19 @@ from scipy import sparse
 
 import gbmsim
 from gbmsim import (
+    DEFAULT_PARAMETERS,
     MeshError,
+    SimulationState,
     StructuredTriMesh,
     assemble_stiffness,
     build_mesh,
+    compute_sample,
     lumped_integral,
     scenario_surface_regularity,
+    step,
     vascular_fraction,
 )
+from gbmsim.errors import check_finite
 
 
 def as_csr(matrix):
@@ -375,10 +380,61 @@ def test_weights_and_stiffness_bits_pinned(diagonal, weights, plain, shifted):
     assert _sha1(assemble_stiffness(mesh, diffusivity, shift).toarray()) == shifted
 
 
+@pytest.mark.parametrize("value", ["a", np.zeros((2, 2)), 1j], ids=["text", "2x2", "complex"])
+def test_check_finite_raises_the_callers_error_for_a_non_real_value(value):
+    with pytest.raises(MeshError, match="^x must be finite, got "):
+        check_finite("x", value, MeshError)
+
+
 def test_stiffness_rejects_wrong_length():
     mesh = build_mesh((0, 1, 0, 1), 2)
     with pytest.raises(MeshError):
         assemble_stiffness(mesh, np.ones(5))
+
+
+def _state_with(mesh, **fields):
+    nv = mesh.num_vertices
+    fields = {"t_field": np.full(nv, 0.1), "n_field": np.zeros(nv),
+              "phi_field": np.full(nv, 0.5), **fields}
+    return SimulationState(0.0, **fields)
+
+
+def _step_with(mesh, **fields):
+    return step(_state_with(mesh, **fields), DEFAULT_PARAMETERS, mesh)
+
+
+def _sample_with(mesh, **fields):
+    return compute_sample(_state_with(mesh, **fields), mesh)
+
+
+def _shifted(mesh, shift):
+    return assemble_stiffness(mesh, np.ones(mesh.num_vertices), shift)
+
+
+# Every public entry point that takes a per-vertex array: the field's name in
+# the message, and the call with that one array replaced.
+PER_VERTEX_ENTRIES = {
+    "step T": ("T", lambda mesh, bad: _step_with(mesh, t_field=bad)),
+    "step N": ("N", lambda mesh, bad: _step_with(mesh, n_field=bad)),
+    "step Phi": ("Phi", lambda mesh, bad: _step_with(mesh, phi_field=bad)),
+    "stiffness diffusivity": ("diffusivity", assemble_stiffness),
+    "stiffness shift": ("shift", _shifted),
+    "lumped_integral": ("field", lumped_integral),
+    "compute_sample T": ("T", lambda mesh, bad: _sample_with(mesh, t_field=bad)),
+    "compute_sample N": ("N", lambda mesh, bad: _sample_with(mesh, n_field=bad)),
+}
+
+
+@pytest.mark.parametrize("shape", ["short", "long", "square"])
+@pytest.mark.parametrize("entry", list(PER_VERTEX_ENTRIES))
+def test_per_vertex_entry_points_reject_a_field_of_the_wrong_shape(entry, shape):
+    mesh = build_mesh((0, 1, 0, 1), 3)
+    m = mesh.n_sub + 1
+    bad = np.full({"short": 5, "long": m * m + 5, "square": (m, m)}[shape], 0.2)
+    name, call = PER_VERTEX_ENTRIES[entry]
+    message = rf"^{name} has shape {re.escape(str(bad.shape))}, not \({m * m},\)$"
+    with pytest.raises(MeshError, match=message):
+        call(mesh, bad)
 
 
 def test_lumped_integral_constant_field():

@@ -2,8 +2,12 @@
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import gbmsim
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_name_in_each_modules_all_exists():
@@ -17,3 +21,14 @@ def test_every_name_in_each_modules_all_exists():
         if absent:
             missing[name] = absent
     assert "kinetics" in names and missing == {}
+
+
+def test_every_name_in_the_readme_python_api_exists():
+    # The README's example calls the package as ``g.<name>``; a name removed
+    # from the package would leave the example broken without any other test
+    # noticing.
+    section = README.read_text().split("## Python API", 1)[1]
+    block = section.split("```python", 1)[1].split("```", 1)[0]
+    names = set(re.findall(r"\bg\.([A-Za-z_]\w*)", block))
+    assert "run" in names
+    assert sorted(name for name in names if not hasattr(gbmsim, name)) == []
