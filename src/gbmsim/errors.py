@@ -16,10 +16,11 @@ class MeshError(SimulationError, ValueError):
     """Mesh construction or mesh/field compatibility failure."""
 
 
-def check_finite(name, value, error=InvalidParameterError):
-    """Raise ``error("<name> must be finite, got <value>")`` unless it is."""
+def check_finite(name, value, error=InvalidParameterError, real_only=False):
+    """Raise ``error("<name> must be finite, got <value>")`` unless it is;
+    with ``real_only``, unless it is a real number (NaN and inf pass)."""
     try:
-        if math.isfinite(value):
+        if math.isfinite(value) or real_only:
             return
     except TypeError:  # not a real number
         pass

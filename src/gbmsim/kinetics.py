@@ -41,6 +41,7 @@ class DimensionlessParameters:
     def __post_init__(self):
         for name in (f.name for f in fields(self)):
             value = getattr(self, name)
+            check_finite(name, value, real_only=True)
             if not value >= 0.0:
                 raise InvalidParameterError(f"{name} must be nonnegative, got {value!r}")
             check_finite(name, value)

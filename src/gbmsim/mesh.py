@@ -147,6 +147,8 @@ def build_mesh(bounds, n_sub: int, diagonal: str = "main") -> StructuredTriMesh:
     diagonal : "main" or "anti"
         Cell-splitting diagonal; every cell uses the same one.
     """
+    for name, value in zip(("xmin", "xmax", "ymin", "ymax"), bounds):
+        check_finite(name, value, MeshError, real_only=True)
     xmin, xmax, ymin, ymax = (float(b) for b in bounds)
     return StructuredTriMesh(xmin, xmax, ymin, ymax, n_sub, diagonal)
 
@@ -161,9 +163,9 @@ def check_n_sub(n_sub) -> None:
 def check_bounds(xmin, xmax, ymin, ymax) -> None:
     """Reject a rectangle whose bounds or spans are not finite, or that is
     empty."""
-    checked = {"xmin": xmin, "xmax": xmax, "ymin": ymin, "ymax": ymax,
-               "xmax - xmin": xmax - xmin, "ymax - ymin": ymax - ymin}
-    for name, value in checked.items():
+    for name, value in {"xmin": xmin, "xmax": xmax, "ymin": ymin, "ymax": ymax}.items():
+        check_finite(name, value, MeshError)
+    for name, value in (("xmax - xmin", xmax - xmin), ("ymax - ymin", ymax - ymin)):
         check_finite(name, value, MeshError)
     if not (xmax > xmin and ymax > ymin):
         raise MeshError(f"degenerate bounds {(xmin, xmax, ymin, ymax)!r}")
@@ -277,14 +279,16 @@ def assemble_stiffness(
     modified and each diagonal entry is minus its row's off-diagonal sum, so
     the matrix annihilates constants.  The optional per-vertex ``shift``
     (the solver's lumped mass and reaction terms) is added after that sum.
+    Sums run on flat slices: cell (iy, ix) is c = iy m + ix, m = n_sub + 1, with
+    corners c, c + 1, c + m, c + m + 1; each row's last slot c = iy m + n_sub
+    wraps to the next row and is set to 0.0, which changes no entry it meets.
     """
     n = mesh.n_sub
-    m = n + 1
-    d = vertex_field(mesh, "diffusivity", diffusivity).reshape(m, m)
-    d00, d10, d01, d11 = d[:-1, :-1], d[:-1, 1:], d[1:, :-1], d[1:, 1:]
-    # Three times the triangle means.  The lower triangle of a cell holds its
-    # bottom edge, the upper one its top edge; the diagonal decides which of
-    # them holds the left and the right edge.
+    m, k = n + 1, n * (n + 1) - 1
+    d = vertex_field(mesh, "diffusivity", diffusivity)
+    d00, d10, d01, d11 = d[:k], d[1 : k + 1], d[m : m + k], d[m + 1 :]
+    # Three times the triangle means.  The lower (upper) triangle holds the
+    # bottom (top) edge; the diagonal decides which holds the left and right.
     if mesh.diagonal == "main":
         lower = d00 + d10 + d11
         upper = d00 + d11 + d01
@@ -293,27 +297,25 @@ def assemble_stiffness(
         lower = d00 + d10 + d01
         upper = d10 + d11 + d01
         left, right = lower, upper
-
-    hx = (mesh.xmax - mesh.xmin) / n
-    hy = (mesh.ymax - mesh.ymin) / n
-    # Planes: south, west, centre.  A west (south) entry is minus the
-    # conductance of the horizontal (vertical) edge to that neighbour; the
-    # first column (row) has no such neighbour and stays 0.
-    planes = np.zeros((3, m, m))
+    lower[n::m] = upper[n::m] = 0.0  # the wrap-around slots
+    hx, hy = (mesh.xmax - mesh.xmin) / n, (mesh.ymax - mesh.ymin) / n
+    # Planes: south, west, centre.  A west (south) entry is minus the edge
+    # conductance to that neighbour, 0 in the first column (row), which has none.
+    planes = np.zeros((3, m * m))
     south, west, centre = planes
-    west[:-1, 1:] -= hy / (6.0 * hx) * lower
-    west[1:, 1:] -= hy / (6.0 * hx) * upper
-    south[1:, :-1] -= hx / (6.0 * hy) * left
-    south[1:, 1:] -= hx / (6.0 * hy) * right
+    west[1 : k + 1] -= hy / (6.0 * hx) * lower
+    west[m + 1 :] -= hy / (6.0 * hx) * upper
+    south[m : m + k] -= hx / (6.0 * hy) * left
+    south[m + 1 :] -= hx / (6.0 * hy) * right
     # centre = -(south + west + east + north), in that order.
     np.add(south, west, out=centre)
-    centre[:, :-1] += west[:, 1:]
-    centre[:-1] += south[1:]
+    centre[:-1] += west[1:]
+    centre[:-m] += south[m:]
     np.negative(centre, out=centre)
     if shift is not None:
-        centre += vertex_field(mesh, "shift", shift).reshape(m, m)
+        centre += vertex_field(mesh, "shift", shift)
 
-    return StencilMatrix(planes, _stencil_layout(n))
+    return StencilMatrix(planes.reshape(3, m, m), _stencil_layout(n))
 
 
 def lumped_integral(mesh: StructuredTriMesh, field_values) -> float:

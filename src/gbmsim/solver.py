@@ -71,6 +71,8 @@ class SolverConfig:
     metrics_every: int = 1_000
 
     def __post_init__(self):
+        for item in fields(self):  # a number first, so that the ranges compare
+            check_finite(item.name, getattr(self, item.name), real_only=True)
         if not self.dt > 0.0:
             raise InvalidParameterError(f"dt must be positive, got {self.dt!r}")
         if not self.t_final >= 0.0:
@@ -223,14 +225,17 @@ def _galerkin_start(matrix, b, basis):
     is overwritten with its backward differences."""
     for j in range(1, len(basis)):
         basis[j:] = basis[j - 1 : -1] - basis[j:]
-    images = np.array([matrix @ v for v in basis])
+    images = np.empty_like(basis)
+    for j, v in enumerate(basis):
+        images[j] = matrix @ v
     try:
         coeffs = np.linalg.solve(basis @ images.T, basis @ b)
     except np.linalg.LinAlgError:
         coeffs = np.full(1, np.nan)
     if not np.all(np.isfinite(coeffs)):
         coeffs = np.eye(len(basis))[0]  # the newest field alone
-    return coeffs @ basis, b - coeffs @ images
+    r = coeffs @ images
+    return coeffs @ basis, np.subtract(b, r, out=r)
 
 
 def step(
@@ -263,8 +268,10 @@ def step(
     crowd_pos = np.maximum(crowding, 0.0)
     crowd_neg = np.maximum(-crowding, 0.0)
 
+    # The death rates per unit of the dying field, named as in kinetics.reactions.
+    hypoxia, t_by_n = params.alpha * lack, params.beta1 * n_old
     weights = mesh.lumped_weights
-    sink = params.alpha * lack + params.beta1 * n_old + p * crowd_neg
+    sink = hypoxia + t_by_n + p * crowd_neg
     gain = t_old * p * crowd_pos
     system = assemble_stiffness(
         mesh, params.kappa1 * p + 1.0, weights * (1.0 / dt + sink)
@@ -274,17 +281,11 @@ def step(
                       max_iter=config.cg_max_iterations, x0=guess)
 
     growth = params.gamma * t_new * lack
+    phi_by_t, phi_by_n = params.delta * t_new, params.beta2 * n_old
     phi_new = (phi_old + dt * growth * phi_old * crowd_pos) / (
-        1.0
-        + dt * (params.delta * t_new + params.beta2 * n_old + growth * crowd_neg)
+        1.0 + dt * (phi_by_t + phi_by_n + growth * crowd_neg)
     )
-
-    transfer = (
-        params.alpha * lack * t_new
-        + params.beta1 * n_old * t_new
-        + params.delta * t_new * phi_new
-        + params.beta2 * n_old * phi_new
-    )
+    transfer = hypoxia * t_new + t_by_n * t_new + phi_by_t * phi_new + phi_by_n * phi_new
     n_new = n_old + dt * transfer
 
     return SimulationState(
@@ -341,12 +342,14 @@ def run(scenario, config: SolverConfig | None = None,
     violations: list[BoundViolation] = []
     metrics = [compute_sample(state, mesh, theta)]
     snapshots = [state]  # step allocates new fields and writes no old ones
-    history = [state.t_field]  # the last accepted T fields, newest first
+    # The last accepted T fields, newest first; step k reads min(k, 4) of them.
+    history = np.empty((4, mesh.num_vertices))
+    history[0] = state.t_field
 
     for k in range(1, n_steps + 1):
         try:
             state = step(
-                state, scenario.params, mesh, config, guess=np.array(history)
+                state, scenario.params, mesh, config, guess=history[: min(k, 4)]
             )
         except SolverFailure as exc:
             raise SolverFailure(
@@ -356,7 +359,9 @@ def run(scenario, config: SolverConfig | None = None,
                 step_index=k,
             ) from exc
         state.time = k * config.dt
-        history = [state.t_field, *history[:3]]
+        for j in (3, 2, 1):
+            history[j] = history[j - 1]
+        history[0] = state.t_field
         _check_bounds(state, k, violations)
         if k % config.metrics_every == 0 or k == n_steps:
             metrics.append(compute_sample(state, mesh, theta))

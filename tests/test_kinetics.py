@@ -288,3 +288,12 @@ def test_dimensionless_parameters_reject_infinite(index):
 def test_dimensionless_parameters_reject_negative():
     with pytest.raises(InvalidParameterError):
         DimensionlessParameters(55, -1.0, 27.5, 2.55, 0.255, 2.55)
+
+
+def test_dimensionless_parameters_reject_a_value_that_is_not_a_number():
+    rates = dict(kappa1=55, alpha=45, beta1="2", beta2=2.55, gamma=0.255, delta=2.55)
+    with pytest.raises(InvalidParameterError, match="^beta1 must be finite, got '2'$"):
+        DimensionlessParameters(**rates)
+    # NaN is a number: it still fails the range check, under that check's name
+    with pytest.raises(InvalidParameterError, match="^kappa1 must be nonnegative, got nan$"):
+        DimensionlessParameters(**{**rates, "beta1": 2, "kappa1": math.nan})

@@ -91,6 +91,15 @@ def test_invalid_mesh_arguments():
         build_mesh((0, 1, 0, 1), 4, diagonal="x")
 
 
+def test_bounds_that_are_not_numbers_rejected():
+    with pytest.raises(MeshError, match="^xmin must be finite, got 'a'$"):
+        StructuredTriMesh("a", 1.0, 0.0, 1.0, 2)
+    with pytest.raises(MeshError, match="^xmin must be finite, got 'a'$"):
+        build_mesh(("a", 1, 0, 1), 2)
+    with pytest.raises(MeshError, match="^ymax must be finite, got None$"):
+        build_mesh((0, 1, 0, None), 2)
+
+
 def test_direct_construction_runs_the_checks():
     with pytest.raises(MeshError, match="^n_sub must be >= 1, got 0$"):
         StructuredTriMesh(0, 1, 0, 1, 0)
@@ -271,8 +280,9 @@ def test_stiffness_m_matrix_for_constant_diffusivity():
 
 
 @pytest.mark.parametrize("diagonal", ["main", "anti"])
-@pytest.mark.parametrize("n_sub", [1, 2, 3])
+@pytest.mark.parametrize("n_sub", [1, 2, 3, 7])
 def test_stiffness_matches_brute_force_oracle(n_sub, diagonal):
+    # hx != hy; at n_sub = 7 the rows' wrap-around slots are interior
     rng = np.random.default_rng(n_sub)
     mesh = build_mesh((-1.5, 2.0, 0.5, 3.0), n_sub, diagonal=diagonal)
     diffusivity = 1.0 + 5.0 * rng.random(mesh.num_vertices)

@@ -442,6 +442,32 @@ def test_run_guesses_from_the_last_four_tumor_fields(monkeypatch):
             assert np.array_equal(field, t_fields[k - 1 - age])
 
 
+def test_run_snapshots_are_not_views_of_the_guess_history(monkeypatch):
+    # run() rolls the T fields through one buffer; each snapshot must keep
+    # the field that step returned, not the buffer row it was copied into
+    returned = []
+    original = gbmsim.solver.step
+
+    def recording_step(*args, **kwargs):
+        after = original(*args, **kwargs)
+        returned.append(after.t_field.copy())
+        return after
+
+    monkeypatch.setattr(gbmsim.solver, "step", recording_step)
+    scenario = scenario_ring_width()
+    scenario = replace(
+        scenario,
+        n_sub=8,
+        solver=replace(scenario.solver, t_final=0.008, snapshot_every=1),
+    )
+    result = run(scenario)
+    assert len(returned) == 8
+    assert len(result.snapshots) == 9
+    for snapshot, t_field in zip(result.snapshots[1:], returned):
+        assert np.array_equal(snapshot.t_field, t_field)
+    assert not np.array_equal(returned[-1], returned[-5])
+
+
 def test_n_steps_is_the_step_count_of_run_and_run_homogeneous(monkeypatch):
     config = SolverConfig(dt=3e-3, t_final=0.01, metrics_every=1)  # 3.33 -> 3
     steps = []
@@ -556,6 +582,14 @@ def test_homogeneous_rejects_non_finite_initial_state(name, value):
 def test_solver_config_requires_finite_values(name):
     with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
         SolverConfig(**{name: float("inf")})
+
+
+@pytest.mark.parametrize(
+    "name", ["dt", "cg_max_iterations", "snapshot_every", "metrics_every"]
+)
+def test_solver_config_rejects_a_value_that_is_not_a_number(name):
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be finite, got 'a'$"):
+        SolverConfig(**{name: "a"})
 
 
 @pytest.mark.parametrize("name", ["cg_max_iterations", "snapshot_every", "metrics_every"])
