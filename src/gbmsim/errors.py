@@ -16,15 +16,32 @@ class MeshError(SimulationError, ValueError):
     """Mesh construction or mesh/field compatibility failure."""
 
 
-def check_finite(name, value, error=InvalidParameterError, real_only=False):
-    """Raise ``error("<name> must be finite, got <value>")`` unless it is;
-    with ``real_only``, unless it is a real number (NaN and inf pass)."""
+def check_finite(name, value, error=InvalidParameterError):
+    """Raise ``error("<name> must be finite, got <value>")`` unless it is."""
     try:
-        if math.isfinite(value) or real_only:
+        if math.isfinite(value):
             return
-    except TypeError:  # not a real number
+    except (TypeError, OverflowError):  # not a real number, or an int beyond floats
         pass
     raise error(f"{name} must be finite, got {value!r}")
+
+
+def check_range(name, value, fits, requirement, error=InvalidParameterError):
+    """The one range rule of a number: raise ``error`` with "<name> must be
+    finite, got <value>" unless it is a real number, then with "<name> must
+    <requirement>, got <value>" unless ``fits(value)`` (NaN fits no range),
+    then with the first message unless it is finite (inf, or an int beyond
+    the float range)."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    except TypeError:  # not a real number
+        finite = None
+    if finite is not None and not fits(value):
+        raise error(f"{name} must {requirement}, got {value!r}")
+    if not finite:
+        raise error(f"{name} must be finite, got {value!r}")
 
 
 def check_integer(name, value, error=InvalidParameterError):

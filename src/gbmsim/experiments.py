@@ -15,7 +15,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import InvalidParameterError, check_finite
+from .errors import InvalidParameterError, check_finite, check_range
 from .kinetics import DimensionlessParameters
 from .mesh import StructuredTriMesh, build_mesh, check_bounds, check_n_sub
 from .metrics import DEFAULT_THRESHOLD
@@ -60,9 +60,7 @@ DEFAULT_UNIFORM_LEVEL = 0.5
 
 def _check_disc(radius_name, radius, center_name, center) -> None:
     """Reject a nonpositive or non-finite radius, or a center not two finite numbers."""
-    check_finite(radius_name, radius)
-    if not radius > 0.0:
-        raise InvalidParameterError(f"{radius_name} must be positive, got {radius!r}")
+    check_range(radius_name, radius, lambda v: v > 0.0, "be positive")
     if not hasattr(center, "__len__") or len(center) != 2:
         raise InvalidParameterError(f"{center_name} must be a pair (x, y), got {center!r}")
     for value in center:
@@ -71,12 +69,7 @@ def _check_disc(radius_name, radius, center_name, center) -> None:
 
 def _check_level(name, level) -> None:
     """Reject a density level that is not a real number in [0, 1]."""
-    try:
-        if 0.0 <= level <= 1.0:
-            return
-    except (TypeError, ValueError):  # not a real number
-        pass
-    raise InvalidParameterError(f"{name} level must lie in [0, 1], got {level!r}")
+    check_range(f"{name} level", level, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -91,8 +84,7 @@ class BumpSpec:
 
     def __post_init__(self):
         _check_disc("bump radius", self.radius, "tumor center", self.center)
-        if not 0.0 < self.peak <= 1.0:
-            raise InvalidParameterError(f"bump peak must lie in (0, 1], got {self.peak!r}")
+        check_range("bump peak", self.peak, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
 
     def check_within(self, bounds) -> None:
         """Reject a center outside the rectangle (xmin, xmax, ymin, ymax)."""
@@ -183,7 +175,7 @@ class Scenario:
     solver: SolverConfig = SolverConfig()
 
     def __post_init__(self):
-        check_bounds(*self.bounds)
+        check_bounds(self.bounds)
         check_n_sub(self.n_sub)
         _check_level("necrosis", self.necrosis_level)
         self.tumor_ic.check_within(self.bounds)

@@ -8,11 +8,11 @@ evaluation is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, check_finite
+from .errors import check_range
 
 __all__ = [
     "DimensionlessParameters",
@@ -39,12 +39,8 @@ class DimensionlessParameters:
     delta: float
 
     def __post_init__(self):
-        for name in (f.name for f in fields(self)):
-            value = getattr(self, name)
-            check_finite(name, value, real_only=True)
-            if not value >= 0.0:
-                raise InvalidParameterError(f"{name} must be nonnegative, got {value!r}")
-            check_finite(name, value)
+        for name, value in vars(self).items():
+            check_range(name, value, lambda v: v >= 0.0, "be nonnegative")
 
 
 @dataclass(frozen=True)

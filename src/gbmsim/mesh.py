@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeshError, check_finite, check_integer
+from .errors import MeshError, check_finite, check_integer, check_range
 
 __all__ = [
     "StructuredTriMesh",
@@ -52,7 +52,7 @@ class StructuredTriMesh:
 
     def __post_init__(self):
         check_n_sub(self.n_sub)
-        check_bounds(self.xmin, self.xmax, self.ymin, self.ymax)
+        check_bounds((self.xmin, self.xmax, self.ymin, self.ymax))
         if self.diagonal not in ("main", "anti"):
             raise MeshError(f"diagonal must be 'main' or 'anti', got {self.diagonal!r}")
         self.lumped_weights  # checks the cell area
@@ -147,8 +147,7 @@ def build_mesh(bounds, n_sub: int, diagonal: str = "main") -> StructuredTriMesh:
     diagonal : "main" or "anti"
         Cell-splitting diagonal; every cell uses the same one.
     """
-    for name, value in zip(("xmin", "xmax", "ymin", "ymax"), bounds):
-        check_finite(name, value, MeshError, real_only=True)
+    check_bounds(bounds)
     xmin, xmax, ymin, ymax = (float(b) for b in bounds)
     return StructuredTriMesh(xmin, xmax, ymin, ymax, n_sub, diagonal)
 
@@ -156,14 +155,16 @@ def build_mesh(bounds, n_sub: int, diagonal: str = "main") -> StructuredTriMesh:
 def check_n_sub(n_sub) -> None:
     """Reject a grid size that is not an integer >= 1."""
     check_integer("n_sub", n_sub, MeshError)
-    if n_sub < 1:
-        raise MeshError(f"n_sub must be >= 1, got {n_sub}")
+    check_range("n_sub", n_sub, lambda v: v >= 1, "be >= 1", MeshError)
 
 
-def check_bounds(xmin, xmax, ymin, ymax) -> None:
-    """Reject a rectangle whose bounds or spans are not finite, or that is
-    empty."""
-    for name, value in {"xmin": xmin, "xmax": xmax, "ymin": ymin, "ymax": ymax}.items():
+def check_bounds(bounds) -> None:
+    """Reject ``bounds`` unless they are four finite numbers (xmin, xmax,
+    ymin, ymax) of a nonempty rectangle with finite spans."""
+    if not hasattr(bounds, "__len__") or len(bounds) != 4:
+        raise MeshError(f"bounds must be (xmin, xmax, ymin, ymax), got {bounds!r}")
+    xmin, xmax, ymin, ymax = bounds
+    for name, value in zip(("xmin", "xmax", "ymin", "ymax"), bounds):
         check_finite(name, value, MeshError)
     for name, value in (("xmax - xmin", xmax - xmin), ("ymax - ymin", ymax - ymin)):
         check_finite(name, value, MeshError)

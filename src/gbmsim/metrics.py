@@ -22,9 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyRegionError, InvalidParameterError, SimulationError, check_finite
-)
+from .errors import EmptyRegionError, InvalidParameterError, SimulationError, check_range
 from .mesh import StructuredTriMesh, lumped_integral, vertex_field
 
 __all__ = [
@@ -40,9 +38,7 @@ DEFAULT_THRESHOLD = 0.001
 
 def check_threshold(theta: float) -> None:
     """Reject a region threshold that is not positive and finite."""
-    if not theta > 0.0:
-        raise InvalidParameterError("theta must be positive")
-    check_finite("theta", theta)
+    check_range("theta", theta, lambda v: v > 0.0, "be positive")
 
 
 # Seed for the shuffle inside the enclosing-circle search; fixed so repeated

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, SolverFailure, check_finite, check_integer
+from .errors import InvalidParameterError, SolverFailure
+from .errors import check_finite, check_integer, check_range
 from .kinetics import DimensionlessParameters, FieldTriple, vascular_fraction
 from .mesh import StructuredTriMesh, assemble_stiffness, vertex_field
 from .metrics import DEFAULT_THRESHOLD, MetricsSample, compute_sample
@@ -71,25 +72,13 @@ class SolverConfig:
     metrics_every: int = 1_000
 
     def __post_init__(self):
-        for item in fields(self):  # a number first, so that the ranges compare
-            check_finite(item.name, getattr(self, item.name), real_only=True)
-        if not self.dt > 0.0:
-            raise InvalidParameterError(f"dt must be positive, got {self.dt!r}")
-        if not self.t_final >= 0.0:
-            raise InvalidParameterError(
-                f"t_final must be nonnegative, got {self.t_final!r}"
-            )
-        if not 0.0 < self.cg_tolerance < 1.0:
-            raise InvalidParameterError(
-                f"cg_tolerance must lie in (0, 1), got {self.cg_tolerance!r}"
-            )
-        if self.cg_max_iterations < 1:
-            raise InvalidParameterError("cg_max_iterations must be >= 1")
-        if self.snapshot_every < 1 or self.metrics_every < 1:
-            raise InvalidParameterError("cadences must be >= 1")
-        for item in fields(self):
-            check_finite(item.name, getattr(self, item.name))
+        check_range("dt", self.dt, lambda v: v > 0.0, "be positive")
+        check_range("t_final", self.t_final, lambda v: v >= 0.0, "be nonnegative")
+        check_range(
+            "cg_tolerance", self.cg_tolerance, lambda v: 0.0 < v < 1.0, "lie in (0, 1)"
+        )
         for name in ("cg_max_iterations", "snapshot_every", "metrics_every"):
+            check_range(name, getattr(self, name), lambda v: v >= 1, "be >= 1")
             check_integer(name, getattr(self, name))
         check_finite("t_final / dt", self.t_final / self.dt)
 
@@ -379,10 +368,9 @@ def run(scenario, config: SolverConfig | None = None,
 def homogeneous_start(initial: FieldTriple) -> tuple[float, float, float]:
     """The start of :func:`run_homogeneous` as floats (T, N, Phi); each must
     be finite."""
-    start = {f.name: float(getattr(initial, f.name)) for f in fields(initial)}
-    for name, value in start.items():
+    for name, value in vars(initial).items():
         check_finite(f"initial {name}", value)
-    return tuple(start.values())
+    return tuple(map(float, vars(initial).values()))
 
 
 def run_homogeneous(

@@ -129,8 +129,8 @@ SURFACE = "[ic]\nscenario=surface\n"
     ("[ic]\nscenario=square\n", 2,
      "scenario must be 'ring' or 'surface', got 'square'"),
     ("[output]\nvtk=maybe\n", 2, "expected a boolean, got 'maybe'"),
-    ("[output]\ntheta=0\n", 2, "theta must be positive"),
-    ("[output]\ntheta=nan\n", 2, "theta must be positive"),
+    ("[output]\ntheta=0\n", 2, "theta must be positive, got 0.0"),
+    ("[output]\ntheta=nan\n", 2, "theta must be positive, got nan"),
     ("[output]\ntheta=inf\n", 2, "theta must be finite, got inf"),
     (SURFACE + "zone1=1, 2, 3\n", 3,
      "zone needs 'cx, cy, radius, level', got '1, 2, 3'"),
@@ -152,11 +152,13 @@ SURFACE = "[ic]\nscenario=surface\n"
     ("[solver]\ndt=1e-320\n", 2, "t_final / dt must be finite, got inf"),
     ("[solver]\nt_final=-1\n", 2, "t_final must be nonnegative, got -1.0"),
     ("[solver]\ncg_tolerance=1\n", 2, "cg_tolerance must lie in (0, 1), got 1.0"),
-    ("[solver]\ncg_max_iterations=0\n", 2, "cg_max_iterations must be >= 1"),
-    ("[solver]\nsnapshot_every=0\n", 2, "cadences must be >= 1"),
+    ("[solver]\ncg_max_iterations=0\n", 2, "cg_max_iterations must be >= 1, got 0"),
+    ("[solver]\nsnapshot_every=0\n", 2, "snapshot_every must be >= 1, got 0"),
+    ("[solver]\nmetrics_every=0\n", 2, "metrics_every must be >= 1, got 0"),
     ("[ic]\ntumor_peak=1.5\n", 2, "bump peak must lie in (0, 1], got 1.5"),
     ("[ic]\ntumor_radius=0\n", 2, "bump radius must be positive, got 0.0"),
     ("[ic]\ntumor_radius=inf\n", 2, "bump radius must be finite, got inf"),
+    ("[ic]\ntumor_radius=nan\n", 2, "bump radius must be positive, got nan"),
     ("[ic]\nnecrosis_level=2\n", 2, "necrosis level must lie in [0, 1], got 2.0"),
     ("[ic]\nvasculature_level=2\n", 2,
      "vasculature level must lie in [0, 1], got 2.0"),

@@ -379,9 +379,20 @@ LEVEL_HOLDERS = {
 @pytest.mark.parametrize("level", ["0.5", None, np.zeros(2)], ids=["text", "None", "array"])
 @pytest.mark.parametrize("kind", list(LEVEL_HOLDERS))
 def test_levels_reject_a_level_that_is_not_a_real_number(kind, level):
-    message = rf"^{kind} level must lie in \[0, 1\], got {re.escape(repr(level))}$"
+    message = rf"^{kind} level must be finite, got {re.escape(repr(level))}$"
     with pytest.raises(InvalidParameterError, match=message):
         LEVEL_HOLDERS[kind](level)
+
+
+@pytest.mark.parametrize(
+    "bounds", [(0.0, 1.0, 0.0), (0.0, 1.0, 0.0, 1.0, 2.0)], ids=["three", "five"]
+)
+def test_bounds_of_the_wrong_length_rejected(bounds):
+    message = rf"^bounds must be \(xmin, xmax, ymin, ymax\), got {re.escape(repr(bounds))}$"
+    with pytest.raises(MeshError, match=message):
+        build_mesh(bounds, 2)
+    with pytest.raises(MeshError, match=message):
+        replace(scenario_ring_width(), bounds=bounds)
 
 
 def test_zone_outside_domain_rejected():

@@ -3,7 +3,10 @@
 import importlib
 import pkgutil
 import re
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 import gbmsim
 
@@ -32,3 +35,48 @@ def test_every_name_in_the_readme_python_api_exists():
     names = set(re.findall(r"\bg\.([A-Za-z_]\w*)", block))
     assert "run" in names
     assert sorted(name for name in names if not hasattr(gbmsim, name)) == []
+
+
+HUGE = 10**400  # an int beyond the float range
+
+
+def _ode_from(tumor):
+    start = gbmsim.FieldTriple(tumor, 0.0, 0.5)
+    config = gbmsim.SolverConfig(t_final=0.001)
+    gbmsim.run_homogeneous(start, gbmsim.DEFAULT_PARAMETERS, config)
+
+
+def _sample_at(theta):
+    scenario = replace(gbmsim.scenario_ring_width(), n_sub=4)
+    mesh = scenario.build_mesh()
+    gbmsim.compute_sample(scenario.initial_state(mesh), mesh, theta)
+
+
+@pytest.mark.parametrize("name, value, call, error", [
+    ("kappa1", HUGE, lambda v: gbmsim.DimensionlessParameters(v, 45, 27.5, 2.55, 0.255, 2.55),
+     gbmsim.InvalidParameterError),
+    ("t_final", HUGE, lambda v: gbmsim.SolverConfig(t_final=v), gbmsim.InvalidParameterError),
+    ("xmax", HUGE, lambda v: gbmsim.StructuredTriMesh(0, v, 0, 1, 2), gbmsim.MeshError),
+    ("bump radius", HUGE, lambda v: gbmsim.BumpSpec(radius=v), gbmsim.InvalidParameterError),
+    ("tumor center", HUGE, lambda v: gbmsim.BumpSpec(center=(v, 0)),
+     gbmsim.InvalidParameterError),
+    ("zone radius", HUGE, lambda v: gbmsim.ZoneSpec((0, 0), v, 0.5),
+     gbmsim.InvalidParameterError),
+    ("zone center", HUGE, lambda v: gbmsim.ZoneSpec((0, v), 1, 0.5),
+     gbmsim.InvalidParameterError),
+    ("n_sub", HUGE, lambda v: gbmsim.build_mesh((0, 1, 0, 1), v), gbmsim.MeshError),
+    ("initial t_density", HUGE, _ode_from, gbmsim.InvalidParameterError),
+    ("bump peak", "a", lambda v: gbmsim.BumpSpec(peak=v), gbmsim.InvalidParameterError),
+    ("theta", "a", _sample_at, gbmsim.InvalidParameterError),
+    ("initial t_density", "a", _ode_from, gbmsim.InvalidParameterError),
+], ids=[
+    "rate-huge", "t_final-huge", "bound-huge", "bump_radius-huge", "bump_center-huge",
+    "zone_radius-huge", "zone_center-huge", "n_sub-huge", "ode_start-huge",
+    "bump_peak-text", "theta-text", "ode_start-text",
+])
+def test_a_number_that_is_not_a_finite_real_gets_the_one_rule(name, value, call, error):
+    # One rule (errors.check_range) rejects a value that is not a real number,
+    # or that is beyond the float range, with the package's own error.
+    with pytest.raises(error) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be finite, got {value!r}"
