@@ -14,11 +14,10 @@ from .config import RunConfig, parse_config
 from .errors import SimulationError
 from .experiments import (
     DEFAULT_PARAMETERS,
-    DEFAULT_UNIFORM_LEVEL,
-    DEFAULT_ZONE_BASE,
-    DEFAULT_ZONES,
     PARAMETER_NAMES,
     PARAMETER_RANGES,
+    scenario_ring_width,
+    scenario_surface_regularity,
     sweep_runs,
 )
 from .output import (
@@ -59,9 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str | None) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    return parse_config(Path(path).read_text())
+    return parse_config("" if path is None else Path(path).read_text())
 
 
 def _write_run_outputs(result, out_dir: Path, vtk: bool) -> None:
@@ -106,11 +103,13 @@ def _cmd_presets(args) -> int:
     for name in PARAMETER_NAMES:
         lo, hi = PARAMETER_RANGES[name]
         print(f"  {name} in [{lo}, {hi}]")
-    print(f"ring preset: uniform vasculature {DEFAULT_UNIFORM_LEVEL}, necrosis 0")
-    levels = dict.fromkeys(zone.level for zone in DEFAULT_ZONES)
+    ring = scenario_ring_width().vasculature_ic
+    print(f"ring preset: uniform vasculature {ring.base_level}, necrosis 0")
+    surface = scenario_surface_regularity().vasculature_ic
+    levels = dict.fromkeys(zone.level for zone in surface.zones)
     print(
         f"surface preset: {len(levels)} vasculature corridors "
-        f"({'/'.join(map(str, levels))}) on base {DEFAULT_ZONE_BASE}"
+        f"({'/'.join(map(str, levels))}) on base {surface.base_level}"
     )
     return 0
 

@@ -7,29 +7,25 @@ invalidate a sweep).  An error caused by one line carries that line's number;
 an error that involves several keys, such as the tumor center outside the
 ``[mesh]`` bounds, carries none.
 
-README.md lists every key and its default; an empty file gives the ring preset.
+A file edits the preset its ``scenario`` key names (the ring preset by
+default), so an empty file gives that preset.  README.md lists every key and
+its default.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, SimulationError
 from .experiments import (
-    DEFAULT_BOUNDS,
-    DEFAULT_N_SUB,
-    DEFAULT_PARAMETERS,
-    DEFAULT_UNIFORM_LEVEL,
-    DEFAULT_ZONE_BASE,
-    DEFAULT_ZONES,
     PARAMETER_NAMES,
-    BumpSpec,
     Scenario,
-    ZonedVasculature,
     ZoneSpec,
+    scenario_ring_width,
+    scenario_surface_regularity,
 )
-from .kinetics import DimensionlessParameters, FieldTriple
+from .kinetics import FieldTriple
 from .metrics import DEFAULT_THRESHOLD, check_threshold
 from .solver import SolverConfig, homogeneous_start
 
@@ -40,50 +36,31 @@ _ZONE_KEY = re.compile(r"zone(\d+)$")
 _SCENARIO_OF = {"vasculature_level": "ring", "zone_base_level": "surface"}
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved configuration for one run/sweep/ode invocation."""
+@dataclass(frozen=True)
+class RunConfig(Scenario):
+    """The named preset ``Scenario`` as a config file edits it, with the run
+    settings of one run/sweep/ode invocation."""
 
     scenario: str = "ring"
-    bounds: tuple[float, float, float, float] = DEFAULT_BOUNDS
-    n_sub: int = DEFAULT_N_SUB
-    params: DimensionlessParameters = DEFAULT_PARAMETERS
-    tumor_center: tuple[float, float] = BumpSpec.center
-    tumor_radius: float = BumpSpec.radius
-    tumor_peak: float = BumpSpec.peak
-    necrosis_level: float = 0.0
-    vasculature_level: float = DEFAULT_UNIFORM_LEVEL
-    zone_base_level: float = DEFAULT_ZONE_BASE
-    zones: tuple[ZoneSpec, ...] | None = None
-    solver: SolverConfig = field(default_factory=SolverConfig)
     theta: float = DEFAULT_THRESHOLD
     vtk: bool = False
-    ode_initial: FieldTriple = field(
-        default_factory=lambda: FieldTriple(0.1, 0.0, 0.5)
-    )
+    ode_initial: FieldTriple = FieldTriple(0.1, 0.0, 0.5)
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_threshold(self.theta)
+        homogeneous_start(self.ode_initial)
 
     def to_scenario(self) -> Scenario:
-        if self.scenario == "ring":
-            vasculature = ZonedVasculature(self.vasculature_level, ())
-        else:
-            zones = self.zones if self.zones is not None else DEFAULT_ZONES
-            vasculature = ZonedVasculature(self.zone_base_level, zones)
-        return Scenario(
-            bounds=self.bounds,
-            n_sub=self.n_sub,
-            params=self.params,
-            tumor_ic=BumpSpec(
-                center=self.tumor_center,
-                radius=self.tumor_radius,
-                peak=self.tumor_peak,
-            ),
-            vasculature_ic=vasculature,
-            necrosis_level=self.necrosis_level,
-            solver=self.solver,
-        )
+        return Scenario(**{f.name: getattr(self, f.name) for f in fields(Scenario)})
 
 
-_DEFAULT = RunConfig()
+# The config that an empty file gives, for each value of the scenario key.
+_PRESETS = {
+    "ring": RunConfig(**vars(scenario_ring_width()), scenario="ring"),
+    "surface": RunConfig(**vars(scenario_surface_regularity()), scenario="surface"),
+}
+
 _EXPECTED = {float: "a number", int: "an integer"}
 
 
@@ -104,7 +81,7 @@ def _bool(text: str) -> bool:
 
 
 def _scenario(text: str) -> str:
-    if text not in ("ring", "surface"):
+    if text not in _PRESETS:
         raise ValueError(f"scenario must be 'ring' or 'surface', got {text!r}")
     return text
 
@@ -117,58 +94,63 @@ def _zone(text: str) -> ZoneSpec:
     return ZoneSpec(center=(cx, cy), radius=radius, level=level)
 
 
-# Every key once: section -> key -> (parser, target).  Target None sets the
-# RunConfig field of the key's name, (field, slot) one slot of a tuple or a
-# dataclass field.  The zoneN keys match _ZONE_KEY, with slot N.
+# Every key once: section -> key -> (parser, path).  The path leads into
+# RunConfig: a field name, then dataclass field names and tuple slots.  The
+# zoneN keys match _ZONE_KEY, with the zone path's last slot N.
 _KEYS = {
     "mesh": {
         "xmin": (float, ("bounds", 0)),
         "xmax": (float, ("bounds", 1)),
         "ymin": (float, ("bounds", 2)),
         "ymax": (float, ("bounds", 3)),
-        "n_sub": (int, None),
+        "n_sub": (int, ("n_sub",)),
     },
     "params": {name: (float, ("params", name)) for name in PARAMETER_NAMES},
     "ic": {
-        "scenario": (_scenario, None),
-        "tumor_center_x": (float, ("tumor_center", 0)),
-        "tumor_center_y": (float, ("tumor_center", 1)),
-        "tumor_radius": (float, None),
-        "tumor_peak": (float, None),
-        "necrosis_level": (float, None),
-        "vasculature_level": (float, None),
-        "zone_base_level": (float, None),
+        "scenario": (_scenario, ("scenario",)),
+        "tumor_center_x": (float, ("tumor_ic", "center", 0)),
+        "tumor_center_y": (float, ("tumor_ic", "center", 1)),
+        "tumor_radius": (float, ("tumor_ic", "radius")),
+        "tumor_peak": (float, ("tumor_ic", "peak")),
+        "necrosis_level": (float, ("necrosis_level",)),
+        "vasculature_level": (float, ("vasculature_ic", "base_level")),
+        "zone_base_level": (float, ("vasculature_ic", "base_level")),
         "ode_tumor": (float, ("ode_initial", "t_density")),
         "ode_necrosis": (float, ("ode_initial", "n_density")),
         "ode_vasculature": (float, ("ode_initial", "phi_density")),
-        _ZONE_KEY: (_zone, "zones"),
+        _ZONE_KEY: (_zone, ("vasculature_ic", "zones")),
     },
     "solver": {
         f.name: (type(f.default), ("solver", f.name)) for f in fields(SolverConfig)
     },
-    "output": {"theta": (float, None), "vtk": (_bool, None)},
+    "output": {"theta": (float, ("theta",)), "vtk": (_bool, ("vtk",))},
 }
 
 
+def _edit(value, edits: dict):
+    """``value`` with ``edits`` (field name or slot -> new value, or the edits of
+    that value), each dataclass built once so that its checks see the whole
+    edited value.  A tuple keeps its other slots; a file's zones replace all."""
+    if isinstance(value, tuple):
+        slots = {**dict(enumerate(value)), **edits}
+        return tuple(slots[slot] for slot in sorted(slots))
+    changed = dict(vars(value))
+    for name, edit in edits.items():
+        if isinstance(edit, dict):
+            edit = _edit(() if name == "zones" else changed[name], edit)
+        changed[name] = edit
+    return type(value)(**changed)
+
+
 def _resolve(found: dict) -> RunConfig:
-    """The checked RunConfig of ``{key: (value, line, target)}``."""
-    kwargs = {key: item[0] for key, item in found.items() if item[2] is None}
-    slots: dict[str, dict] = {}
-    for value, _, target in found.values():
-        if target is not None:
-            slots.setdefault(target[0], {})[target[1]] = value
-    for name, values in slots.items():
-        default = getattr(_DEFAULT, name)
-        if is_dataclass(default):
-            kwargs[name] = replace(default, **values)
-        else:  # a tuple, or the zones (None by default), in slot order
-            merged = {**dict(enumerate(default or ())), **values}
-            kwargs[name] = tuple(merged[slot] for slot in sorted(merged))
-    config = RunConfig(**kwargs)
-    check_threshold(config.theta)
-    homogeneous_start(config.ode_initial)
-    config.to_scenario()
-    return config
+    """The checked RunConfig of ``{key: (value, line, path)}``."""
+    edits: dict = {}
+    for value, _, path in found.values():
+        node = edits
+        for step in path[:-1]:
+            node = node.setdefault(step, {})
+        node[path[-1]] = value
+    return _edit(_PRESETS[edits.get("scenario", "ring")], edits)
 
 
 def _line_of(found: dict, message: str) -> int | None:
@@ -176,7 +158,7 @@ def _line_of(found: dict, message: str) -> int | None:
     value) raises ``message``; tuple slots enter only checks across keys."""
     mode = {key: item for key, item in found.items() if isinstance(item[0], str)}
     for key, item in found.items():
-        if item[2] is None or isinstance(item[2][1], str):
+        if isinstance(item[2][-1], str):
             try:
                 _resolve({**mode, key: item})
             except SimulationError as exc:
@@ -207,8 +189,8 @@ def parse_config(text: str) -> RunConfig:
                 entry = keys.get(key)
                 zone = entry is None and _ZONE_KEY in keys and _ZONE_KEY.match(key)
                 if zone:
-                    parser, name = keys[_ZONE_KEY]
-                    key, entry = f"zone{int(zone[1])}", (parser, (name, int(zone[1])))
+                    parser, path = keys[_ZONE_KEY]
+                    key, entry = f"zone{int(zone[1])}", (parser, (*path, int(zone[1])))
                 if entry is None:
                     raise ValueError(f"unknown key {key!r} in [{section}]")
                 if key in found:
@@ -217,14 +199,15 @@ def parse_config(text: str) -> RunConfig:
                 found[key] = (_parse(entry[0], value), line_no, entry[1])
         except ValueError as exc:
             raise ConfigError(str(exc), line=line_no) from None
-    try:
-        config = _resolve(found)
-    except SimulationError as exc:
-        raise ConfigError(str(exc), line=_line_of(found, str(exc))) from None
+    # Before resolution: vasculature_level and zone_base_level edit one field.
+    scenario = found["scenario"][0] if "scenario" in found else "ring"
     for key, (_, line, _) in found.items():
         zone = _ZONE_KEY.match(key)
-        owner = "surface" if zone else _SCENARIO_OF.get(key, config.scenario)
-        if owner != config.scenario:
+        owner = "surface" if zone else _SCENARIO_OF.get(key, scenario)
+        if owner != scenario:
             subject = "zone keys require" if zone else f"{key} requires"
             raise ConfigError(f"{subject} scenario={owner}", line=line)
-    return config
+    try:
+        return _resolve(found)
+    except SimulationError as exc:
+        raise ConfigError(str(exc), line=_line_of(found, str(exc))) from None

@@ -87,7 +87,9 @@ class BumpSpec:
         check_range("bump peak", self.peak, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
 
     def check_within(self, bounds) -> None:
-        """Reject a center outside the rectangle (xmin, xmax, ymin, ymax)."""
+        """Reject bounds that ``mesh.check_bounds`` rejects, then a center
+        outside the rectangle (xmin, xmax, ymin, ymax)."""
+        check_bounds(bounds)
         xmin, xmax, ymin, ymax = bounds
         cx, cy = self.center
         if not (xmin <= cx <= xmax and ymin <= cy <= ymax):
@@ -148,6 +150,9 @@ class ZonedVasculature:
 
     def __post_init__(self):
         _check_level("vasculature", self.base_level)
+        for zone in self.zones:
+            if not isinstance(zone, ZoneSpec):
+                raise InvalidParameterError(f"zone must be a ZoneSpec, got {zone!r}")
 
     def field(self, mesh: StructuredTriMesh) -> np.ndarray:
         """The vasculature at the mesh's vertices."""
@@ -247,21 +252,34 @@ def _preset(vasculature: ZonedVasculature, overrides) -> Scenario:
     )
 
 
+def _check_parameter(name) -> None:
+    """Reject a name that is not one of the model's rates."""
+    if name not in PARAMETER_NAMES:
+        raise InvalidParameterError(f"unknown parameter {name!r}")
+
+
 def _override(
     params: DimensionlessParameters, overrides: Mapping[str, float] | None
 ) -> DimensionlessParameters:
     if not overrides:
         return params
-    unknown = set(overrides) - set(PARAMETER_NAMES)
-    if unknown:
-        raise InvalidParameterError(f"unknown parameter(s): {sorted(unknown)}")
+    for name in overrides:
+        _check_parameter(name)
     return replace(params, **dict(overrides))
+
+
+def _sweep_value(name, value) -> float:
+    """``float(value)`` (the CLI passes text), or the range rule's error."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        check_finite(name, value)  # raises: no value that float() refuses is finite
+        raise
 
 
 def default_sweep_values(param_name: str) -> tuple[float, float, float]:
     """Three-point grid for one parameter: range low, fixed value, range high."""
-    if param_name not in PARAMETER_RANGES:
-        raise InvalidParameterError(f"unknown parameter {param_name!r}")
+    _check_parameter(param_name)
     lo, hi = PARAMETER_RANGES[param_name]
     return (lo, getattr(DEFAULT_PARAMETERS, param_name), hi)
 
@@ -276,9 +294,8 @@ def sweep_runs(
     The arguments are checked at the call, and values that are equal as
     floats are rejected; each run happens when the iterator reaches it.
     """
-    if param_name not in PARAMETER_NAMES:
-        raise InvalidParameterError(f"unknown parameter {param_name!r}")
-    values = [float(value) for value in values]
+    _check_parameter(param_name)
+    values = [_sweep_value(param_name, value) for value in values]
     if not values:
         raise InvalidParameterError("sweep needs at least one value")
     repeated = sorted({v for v in values if values.count(v) > 1})

@@ -356,8 +356,15 @@ def test_criterion_08_sq_orderings(zoned_runs):
     check(8, ordering_ok and secondary_ok, detail)
 
 
-def _euler_kernel(t, n, phi, alpha, beta1, beta2, gamma, delta, dt, steps):
-    for _ in range(steps):
+def reference_explicit_euler(initial, params, dt, t_final):
+    """Independent fixed-step explicit integrator for the homogeneous system,
+    applying plain forward Euler to the raw reaction terms."""
+    t, n, phi = (float(v) for v in (
+        initial.t_density, initial.n_density, initial.phi_density
+    ))
+    alpha, beta1, beta2 = params.alpha, params.beta1, params.beta2
+    gamma, delta = params.gamma, params.delta
+    for _ in range(int(round(t_final / dt))):
         phi_pos = phi if phi > 0.0 else 0.0
         t_pos = t if t > 0.0 else 0.0
         p = phi_pos / ((phi_pos + 1.0) / 2.0 + t_pos)
@@ -370,35 +377,6 @@ def _euler_kernel(t, n, phi, alpha, beta1, beta2, gamma, delta, dt, steps):
         f3 = gamma * t * lack * phi * crowd - delta * t * phi - beta2 * n * phi
         t, n, phi = t + dt * f1, n + dt * f2, phi + dt * f3
     return t, n, phi
-
-
-try:
-    from numba import njit
-
-    # Optional: numba only shortens the reference (2*10^7 explicit steps take
-    # about 30 s in pure Python).  The reference runs outside criterion 9's
-    # timed span, so it does not decide the outcome.
-    _euler_kernel = njit(cache=True)(_euler_kernel)
-except ImportError:
-    pass
-
-
-def reference_explicit_euler(initial, params, dt, t_final):
-    """Independent fixed-step explicit integrator for the homogeneous system,
-    applying plain forward Euler to the raw reaction terms."""
-    steps = int(round(t_final / dt))
-    return _euler_kernel(
-        float(initial.t_density),
-        float(initial.n_density),
-        float(initial.phi_density),
-        params.alpha,
-        params.beta1,
-        params.beta2,
-        params.gamma,
-        params.delta,
-        dt,
-        steps,
-    )
 
 
 def test_criterion_09_long_time_decay():

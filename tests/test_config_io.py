@@ -253,8 +253,8 @@ def test_surface_scenario_with_zones():
     )
     config = parse_config(text)
     assert config.scenario == "surface" and config.vtk is True
-    assert len(config.zones) == 2
-    assert config.zones[0].level == 0.9
+    assert len(config.vasculature_ic.zones) == 2
+    assert config.vasculature_ic.zones[0].level == 0.9
     scenario = config.to_scenario()
     assert len(scenario.vasculature_ic.zones) == 2
 

@@ -24,6 +24,7 @@ from gbmsim import (
     sweep,
 )
 from gbmsim import SimulationState
+from gbmsim.cli import main
 from gbmsim.experiments import DEFAULT_ZONES, sweep_runs
 
 PRESET_TABLE = {
@@ -94,7 +95,7 @@ def test_surface_scenario_zoned_ic():
 
 
 def test_unknown_override_rejected():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="^unknown parameter 'rho'$"):
         scenario_ring_width({"rho": 2.0})
 
 
@@ -393,6 +394,8 @@ def test_bounds_of_the_wrong_length_rejected(bounds):
         build_mesh(bounds, 2)
     with pytest.raises(MeshError, match=message):
         replace(scenario_ring_width(), bounds=bounds)
+    with pytest.raises(MeshError, match=message):
+        BumpSpec().check_within(bounds)
 
 
 def test_zone_outside_domain_rejected():
@@ -403,6 +406,13 @@ def test_zone_outside_domain_rejected():
     )
     with pytest.raises(InvalidParameterError):
         replace(scenario, vasculature_ic=bad)
+
+
+@pytest.mark.parametrize("zone", [1, (0.0, 0.0, 1.0, 0.5), None])
+def test_zoned_vasculature_rejects_a_zone_that_is_not_a_zone_spec(zone):
+    message = rf"^zone must be a ZoneSpec, got {re.escape(repr(zone))}$"
+    with pytest.raises(InvalidParameterError, match=message):
+        ZonedVasculature(0.5, (DEFAULT_ZONES[0], zone))
 
 
 def test_sweep_single_value_matches_direct_run():
@@ -443,6 +453,32 @@ def test_sweep_runs_checks_arguments_before_running():
         sweep_runs(scenario, "alpha", [])
     with pytest.raises(InvalidParameterError):
         sweep_runs(scenario, "alpha", [10.0, -1.0])
+
+
+@pytest.mark.parametrize(
+    "value", [10**400, None, "abc", "inf"], ids=["huge_int", "None", "text", "inf_text"]
+)
+def test_sweep_runs_rejects_a_value_that_is_not_a_finite_number(monkeypatch, value):
+    import gbmsim.experiments
+
+    runs = []
+    monkeypatch.setattr(
+        gbmsim.experiments, "run", lambda *args, **kwargs: runs.append(args)
+    )
+    shown = "inf" if value == "inf" else re.escape(repr(value))
+    with pytest.raises(InvalidParameterError, match=rf"^alpha must be finite, got {shown}$"):
+        sweep_runs(scenario_ring_width(), "alpha", [45.0, value])
+    assert runs == []
+
+
+def test_cli_sweep_names_the_parameter_of_a_value_that_is_not_a_number(
+    tmp_path, capsys
+):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--param", "alpha", "--values", "45,abc", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: alpha must be finite, got 'abc'\n"
+    assert not out.exists()
 
 
 def test_sweep_runs_rejects_values_equal_as_floats(monkeypatch):
