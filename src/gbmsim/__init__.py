@@ -53,7 +53,7 @@ from .experiments import (
     default_sweep_values,
     scenario_ring_width,
     scenario_surface_regularity,
-    sweep,
+    sweep_runs,
 )
 from .config import RunConfig, parse_config
 from .output import METRICS_HEADER, write_metrics_csv, write_snapshot

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig, parse_config
-from .errors import SimulationError
+from .errors import SimulationError, check_finite
 from .experiments import (
     DEFAULT_PARAMETERS,
     PARAMETER_NAMES,
@@ -78,7 +78,13 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
     tokens = [token.strip() for token in args.values.split(",") if token.strip()]
-    runs = sweep_runs(config.to_scenario(), args.param, tokens, config.theta)
+    values = []
+    for token in tokens:
+        try:
+            values.append(float(token))
+        except ValueError:
+            check_finite(args.param, token)  # raises: no text is a real number
+    runs = sweep_runs(config.to_scenario(), args.param, values, config.theta)
     for token, (_, result) in zip(tokens, runs):
         _write_run_outputs(
             result, Path(args.out) / f"{args.param}={token}", config.vtk

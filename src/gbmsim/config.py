@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, InvalidParameterError, SimulationError
 from .experiments import (
     PARAMETER_NAMES,
     Scenario,
@@ -36,6 +36,12 @@ _ZONE_KEY = re.compile(r"zone(\d+)$")
 _SCENARIO_OF = {"vasculature_level": "ring", "zone_base_level": "surface"}
 
 
+def _scenario(text: str) -> str:
+    if text not in ("ring", "surface"):
+        raise InvalidParameterError(f"scenario must be 'ring' or 'surface', got {text!r}")
+    return text
+
+
 @dataclass(frozen=True)
 class RunConfig(Scenario):
     """The named preset ``Scenario`` as a config file edits it, with the run
@@ -48,7 +54,10 @@ class RunConfig(Scenario):
 
     def __post_init__(self):
         super().__post_init__()
+        _scenario(self.scenario)
         check_threshold(self.theta)
+        if not isinstance(self.vtk, bool):
+            raise InvalidParameterError(f"vtk must be a bool, got {self.vtk!r}")
         homogeneous_start(self.ode_initial)
 
     def to_scenario(self) -> Scenario:
@@ -78,12 +87,6 @@ def _bool(text: str) -> bool:
     if text.lower() not in ("true", "yes", "on", "1", "false", "no", "off", "0"):
         raise ValueError(f"expected a boolean, got {text!r}")
     return text.lower() in ("true", "yes", "on", "1")
-
-
-def _scenario(text: str) -> str:
-    if text not in _PRESETS:
-        raise ValueError(f"scenario must be 'ring' or 'surface', got {text!r}")
-    return text
 
 
 def _zone(text: str) -> ZoneSpec:

@@ -19,7 +19,7 @@ from .errors import InvalidParameterError, check_finite, check_range
 from .kinetics import DimensionlessParameters
 from .mesh import StructuredTriMesh, build_mesh, check_bounds, check_n_sub
 from .metrics import DEFAULT_THRESHOLD
-from .solver import MetricsSample, RunResult, SimulationState, SolverConfig, run
+from .solver import RunResult, SimulationState, SolverConfig, run
 
 __all__ = [
     "DEFAULT_PARAMETERS",
@@ -33,7 +33,6 @@ __all__ = [
     "Scenario",
     "scenario_ring_width",
     "scenario_surface_regularity",
-    "sweep",
     "sweep_runs",
     "default_sweep_values",
 ]
@@ -180,10 +179,9 @@ class Scenario:
     solver: SolverConfig = SolverConfig()
 
     def __post_init__(self):
-        check_bounds(self.bounds)
+        self.tumor_ic.check_within(self.bounds)  # checks the bounds first
         check_n_sub(self.n_sub)
         _check_level("necrosis", self.necrosis_level)
-        self.tumor_ic.check_within(self.bounds)
         xmin, xmax, ymin, ymax = self.bounds
         for zone in self.vasculature_ic.zones:
             (zx, zy), r = zone.center, zone.radius
@@ -268,15 +266,6 @@ def _override(
     return replace(params, **dict(overrides))
 
 
-def _sweep_value(name, value) -> float:
-    """``float(value)`` (the CLI passes text), or the range rule's error."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        check_finite(name, value)  # raises: no value that float() refuses is finite
-        raise
-
-
 def default_sweep_values(param_name: str) -> tuple[float, float, float]:
     """Three-point grid for one parameter: range low, fixed value, range high."""
     _check_parameter(param_name)
@@ -291,26 +280,19 @@ def sweep_runs(
     given order.  Every other setting is held fixed and the runs are
     independent, so no result depends on the order.
 
-    The arguments are checked at the call, and values that are equal as
-    floats are rejected; each run happens when the iterator reaches it.
+    The arguments are checked at the call: each value by the rates' own
+    rule (text is not a number), then values that are equal as numbers are
+    rejected; each run happens when the iterator reaches it.
     """
     _check_parameter(param_name)
-    values = [_sweep_value(param_name, value) for value in values]
+    values = list(values)
+    params = [replace(scenario.params, **{param_name: value}) for value in values]
     if not values:
         raise InvalidParameterError("sweep needs at least one value")
     repeated = sorted({v for v in values if values.count(v) > 1})
     if repeated:
         raise InvalidParameterError(f"sweep values repeat: {repeated}")
-    params = [replace(scenario.params, **{param_name: value}) for value in values]
     return (
         (value, run(replace(scenario, params=p), theta=theta))
         for value, p in zip(values, params)
     )
-
-
-def sweep(
-    scenario: Scenario, param_name: str, values, theta: float = DEFAULT_THRESHOLD
-) -> dict[float, list[MetricsSample]]:
-    """The metrics series of :func:`sweep_runs`, keyed by parameter value."""
-    runs = sweep_runs(scenario, param_name, values, theta)
-    return {value: result.metrics for value, result in runs}

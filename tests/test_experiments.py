@@ -21,11 +21,11 @@ from gbmsim import (
     lumped_integral,
     scenario_ring_width,
     scenario_surface_regularity,
-    sweep,
+    sweep_runs,
 )
 from gbmsim import SimulationState
 from gbmsim.cli import main
-from gbmsim.experiments import DEFAULT_ZONES, sweep_runs
+from gbmsim.experiments import DEFAULT_ZONES
 
 PRESET_TABLE = {
     "kappa1": 55.0,
@@ -422,7 +422,7 @@ def test_sweep_single_value_matches_direct_run():
     scenario = replace(
         scenario, n_sub=8, solver=replace(scenario.solver, t_final=0.02)
     )
-    series = sweep(scenario, "alpha", [45.0])
+    series = {v: r.metrics for v, r in sweep_runs(scenario, "alpha", [45.0])}
     direct = run(scenario).metrics
     assert series[45.0] == direct
 
@@ -432,8 +432,8 @@ def test_sweep_order_independent():
     scenario = replace(
         scenario, n_sub=6, solver=replace(scenario.solver, t_final=0.01)
     )
-    forward = sweep(scenario, "alpha", [10.0, 100.0])
-    backward = sweep(scenario, "alpha", [100.0, 10.0])
+    forward = {v: r.metrics for v, r in sweep_runs(scenario, "alpha", [10.0, 100.0])}
+    backward = {v: r.metrics for v, r in sweep_runs(scenario, "alpha", [100.0, 10.0])}
     assert forward[10.0] == backward[10.0]
     assert forward[100.0] == backward[100.0]
 
@@ -443,7 +443,8 @@ def test_sweep_rq_starts_at_one():
     scenario = replace(
         scenario, n_sub=6, solver=replace(scenario.solver, t_final=0.005)
     )
-    series = sweep(scenario, "alpha", [10.0, 45.0, 100.0])
+    runs = sweep_runs(scenario, "alpha", [10.0, 45.0, 100.0])
+    series = {v: r.metrics for v, r in runs}
     assert all(s[0].rq == 1.0 for s in series.values())
 
 
@@ -465,8 +466,8 @@ def test_sweep_runs_rejects_a_value_that_is_not_a_finite_number(monkeypatch, val
     monkeypatch.setattr(
         gbmsim.experiments, "run", lambda *args, **kwargs: runs.append(args)
     )
-    shown = "inf" if value == "inf" else re.escape(repr(value))
-    with pytest.raises(InvalidParameterError, match=rf"^alpha must be finite, got {shown}$"):
+    message = rf"^alpha must be finite, got {re.escape(repr(value))}$"
+    with pytest.raises(InvalidParameterError, match=message):
         sweep_runs(scenario_ring_width(), "alpha", [45.0, value])
     assert runs == []
 
@@ -492,15 +493,15 @@ def test_sweep_runs_rejects_values_equal_as_floats(monkeypatch):
     with pytest.raises(InvalidParameterError, match="repeat"):
         sweep_runs(scenario, "alpha", [10, 10.0, 1e1])
     with pytest.raises(InvalidParameterError, match="repeat"):
-        sweep(scenario, "alpha", [45.0, 10.0, 45])
+        sweep_runs(scenario, "alpha", [45.0, 10.0, 45])
     assert runs == []
 
 
 def test_sweep_unknown_parameter():
     scenario = scenario_ring_width()
     with pytest.raises(InvalidParameterError):
-        sweep(scenario, "omega", [1.0])
+        sweep_runs(scenario, "omega", [1.0])
     with pytest.raises(InvalidParameterError):
-        sweep(scenario, "alpha", [])
+        sweep_runs(scenario, "alpha", [])
     with pytest.raises(InvalidParameterError, match="unknown parameter 'nope'"):
         default_sweep_values("nope")

@@ -6,6 +6,7 @@ import pytest
 
 from gbmsim import (
     ConfigError,
+    InvalidParameterError,
     RunConfig,
     Scenario,
     ZoneSpec,
@@ -62,3 +63,14 @@ def test_a_key_of_the_other_scenario_is_reported_before_its_range(text, line, me
         parse_config(text)
     assert info.value.line == line
     assert str(info.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("scenario", "square", "scenario must be 'ring' or 'surface', got 'square'"),
+    ("vtk", "no", "vtk must be a bool, got 'no'"),
+], ids=["scenario", "vtk"])
+def test_a_run_setting_is_checked_without_the_parser(name, value, message):
+    # The parser is not the only way in: dataclasses.replace runs the same checks.
+    with pytest.raises(InvalidParameterError) as info:
+        dataclasses.replace(parse_config(""), **{name: value})
+    assert str(info.value) == message
