@@ -70,7 +70,7 @@ def _write_run_outputs(result, out_dir: Path, vtk: bool) -> None:
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
-    result = run(config.to_scenario(), theta=config.theta)
+    result = run(config.to_scenario())
     _write_run_outputs(result, Path(args.out), config.vtk)
     return 0
 
@@ -84,7 +84,7 @@ def _cmd_sweep(args) -> int:
             values.append(float(token))
         except ValueError:
             check_finite(args.param, token)  # raises: no text is a real number
-    runs = sweep_runs(config.to_scenario(), args.param, values, config.theta)
+    runs = sweep_runs(config.to_scenario(), args.param, values)
     for token, (_, result) in zip(tokens, runs):
         _write_run_outputs(
             result, Path(args.out) / f"{args.param}={token}", config.vtk

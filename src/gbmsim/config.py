@@ -8,8 +8,8 @@ an error that involves several keys, such as the tumor center outside the
 ``[mesh]`` bounds, carries none.
 
 A file edits the preset its ``scenario`` key names (the ring preset by
-default), so an empty file gives that preset.  README.md lists every key and
-its default.
+default), so an empty file gives that preset; ``[output] theta`` is the
+scenario's region threshold.  README.md lists every key and its default.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .experiments import (
     scenario_surface_regularity,
 )
 from .kinetics import FieldTriple
-from .metrics import DEFAULT_THRESHOLD, check_threshold
 from .solver import SolverConfig, homogeneous_start
 
 __all__ = ["RunConfig", "parse_config"]
@@ -48,14 +47,12 @@ class RunConfig(Scenario):
     settings of one run/sweep/ode invocation."""
 
     scenario: str = "ring"
-    theta: float = DEFAULT_THRESHOLD
     vtk: bool = False
     ode_initial: FieldTriple = FieldTriple(0.1, 0.0, 0.5)
 
     def __post_init__(self):
         super().__post_init__()
         _scenario(self.scenario)
-        check_threshold(self.theta)
         if not isinstance(self.vtk, bool):
             raise InvalidParameterError(f"vtk must be a bool, got {self.vtk!r}")
         homogeneous_start(self.ode_initial)

@@ -18,12 +18,7 @@ class MeshError(SimulationError, ValueError):
 
 def check_finite(name, value, error=InvalidParameterError):
     """Raise ``error("<name> must be finite, got <value>")`` unless it is."""
-    try:
-        if math.isfinite(value):
-            return
-    except (TypeError, OverflowError):  # not a real number, or an int beyond floats
-        pass
-    raise error(f"{name} must be finite, got {value!r}")
+    check_range(name, value, lambda v: True, "be finite", error)
 
 
 def check_range(name, value, fits, requirement, error=InvalidParameterError):

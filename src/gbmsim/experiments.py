@@ -1,5 +1,6 @@
 """Initial-condition generators, preset scenarios, and the sweep harness.
 
+A :class:`Scenario` holds every setting that a run reads, ``theta`` included.
 Two presets are shipped: the ring-width study (uniform initial vasculature)
 and the surface-regularity study (vasculature concentrated in disc zones).
 The seed shapes carry no canonical amplitudes, so the bump and zone defaults
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import InvalidParameterError, check_finite, check_range
 from .kinetics import DimensionlessParameters
 from .mesh import StructuredTriMesh, build_mesh, check_bounds, check_n_sub
-from .metrics import DEFAULT_THRESHOLD
+from .metrics import DEFAULT_THRESHOLD, check_threshold
 from .solver import RunResult, SimulationState, SolverConfig, run
 
 __all__ = [
@@ -164,7 +165,8 @@ class ZonedVasculature:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything one experiment needs: domain, rates, seeds, solver settings.
+    """Everything one experiment needs: domain, rates, seeds, solver settings
+    and the region threshold ``theta`` of its observables.
 
     Construction is pure, so identical inputs give identical scenarios and
     sweeps are reproducible.
@@ -177,6 +179,7 @@ class Scenario:
     vasculature_ic: ZonedVasculature
     necrosis_level: float = 0.0
     solver: SolverConfig = SolverConfig()
+    theta: float = DEFAULT_THRESHOLD
 
     def __post_init__(self):
         self.tumor_ic.check_within(self.bounds)  # checks the bounds first
@@ -192,6 +195,7 @@ class Scenario:
                 raise InvalidParameterError(
                     f"zone {zone} does not lie within domain {self.bounds}"
                 )
+        check_threshold(self.theta)
 
     def build_mesh(self) -> StructuredTriMesh:
         return build_mesh(self.bounds, self.n_sub)
@@ -274,11 +278,11 @@ def default_sweep_values(param_name: str) -> tuple[float, float, float]:
 
 
 def sweep_runs(
-    scenario: Scenario, param_name: str, values, theta: float = DEFAULT_THRESHOLD
+    scenario: Scenario, param_name: str, values
 ) -> Iterator[tuple[float, RunResult]]:
     """Yield ``(value, run result)`` for each value of one parameter, in the
-    given order.  Every other setting is held fixed and the runs are
-    independent, so no result depends on the order.
+    given order.  Every other setting, ``theta`` too, is held fixed and the
+    runs are independent, so no result depends on the order.
 
     The arguments are checked at the call: each value by the rates' own
     rule (text is not a number), then values that are equal as numbers are
@@ -293,6 +297,5 @@ def sweep_runs(
     if repeated:
         raise InvalidParameterError(f"sweep values repeat: {repeated}")
     return (
-        (value, run(replace(scenario, params=p), theta=theta))
-        for value, p in zip(values, params)
+        (value, run(replace(scenario, params=p))) for value, p in zip(values, params)
     )

@@ -33,7 +33,7 @@ from .errors import InvalidParameterError, SolverFailure
 from .errors import check_finite, check_integer, check_range
 from .kinetics import DimensionlessParameters, FieldTriple, vascular_fraction
 from .mesh import StructuredTriMesh, assemble_stiffness, vertex_field
-from .metrics import DEFAULT_THRESHOLD, MetricsSample, compute_sample
+from .metrics import MetricsSample, compute_sample
 
 __all__ = [
     "SolverConfig",
@@ -309,12 +309,12 @@ def _check_bounds(
             )
 
 
-def run(scenario, config: SolverConfig | None = None,
-        theta: float = DEFAULT_THRESHOLD) -> RunResult:
+def run(scenario, config: SolverConfig | None = None) -> RunResult:
     """Integrate a scenario from t = 0 to t_final.
 
-    Metrics are sampled every ``metrics_every`` steps plus at t = 0 and the
-    final step; snapshots every ``snapshot_every`` steps plus the final step.
+    Metrics, with the region threshold ``scenario.theta``, are sampled every
+    ``metrics_every`` steps plus at t = 0 and the final step; snapshots every
+    ``snapshot_every`` steps plus the final step.
     Deterministic: identical inputs produce bit-identical outputs.
 
     Each tumor solve starts from the Galerkin projection onto the last four
@@ -329,7 +329,7 @@ def run(scenario, config: SolverConfig | None = None,
 
     n_steps = config.n_steps
     violations: list[BoundViolation] = []
-    metrics = [compute_sample(state, mesh, theta)]
+    metrics = [compute_sample(state, mesh, scenario.theta)]
     snapshots = [state]  # step allocates new fields and writes no old ones
     # The last accepted T fields, newest first; step k reads min(k, 4) of them.
     history = np.empty((4, mesh.num_vertices))
@@ -353,7 +353,7 @@ def run(scenario, config: SolverConfig | None = None,
         history[0] = state.t_field
         _check_bounds(state, k, violations)
         if k % config.metrics_every == 0 or k == n_steps:
-            metrics.append(compute_sample(state, mesh, theta))
+            metrics.append(compute_sample(state, mesh, scenario.theta))
         if k % config.snapshot_every == 0 or k == n_steps:
             snapshots.append(state)
 
@@ -413,18 +413,16 @@ def run_homogeneous(
         crowd_pos = crowding if crowding > 0.0 else 0.0
         crowd_neg = -crowding if crowding < 0.0 else 0.0
 
-        sink = alpha * lack + beta1 * n + p * crowd_neg
+        hypoxia, t_by_n = alpha * lack, beta1 * n
+        sink = hypoxia + t_by_n + p * crowd_neg
         t_new = (t + dt * t * p * crowd_pos) / (1.0 + dt * sink)
         growth = gamma * t_new * lack
+        phi_by_t, phi_by_n = delta * t_new, beta2 * n
         phi_new = (phi + dt * growth * phi * crowd_pos) / (
-            1.0 + dt * (delta * t_new + beta2 * n + growth * crowd_neg)
+            1.0 + dt * (phi_by_t + phi_by_n + growth * crowd_neg)
         )
-        n_new = n + dt * (
-            alpha * lack * t_new
-            + beta1 * n * t_new
-            + delta * t_new * phi_new
-            + beta2 * n * phi_new
-        )
+        transfer = hypoxia * t_new + t_by_n * t_new + phi_by_t * phi_new + phi_by_n * phi_new
+        n_new = n + dt * transfer
         if not (
             math.isfinite(t_new) and math.isfinite(n_new) and math.isfinite(phi_new)
         ):

@@ -208,7 +208,7 @@ def _bump_with_infinite_radius():
 def _run_with_infinite_theta():
     scenario = scenario_ring_width()
     config = gbmsim.SolverConfig(t_final=0.002)
-    gbmsim.run(dataclasses.replace(scenario, n_sub=4), config, theta=math.inf)
+    gbmsim.run(dataclasses.replace(scenario, n_sub=4, theta=math.inf), config)
 
 
 def _ode_with_nan_tumor():

@@ -13,12 +13,14 @@ from gbmsim import (
     InvalidParameterError,
     MeshError,
     PARAMETER_RANGES,
+    SolverConfig,
     ZoneSpec,
     ZonedVasculature,
     build_mesh,
     compute_sample,
     default_sweep_values,
     lumped_integral,
+    run,
     scenario_ring_width,
     scenario_surface_regularity,
     sweep_runs,
@@ -416,8 +418,6 @@ def test_zoned_vasculature_rejects_a_zone_that_is_not_a_zone_spec(zone):
 
 
 def test_sweep_single_value_matches_direct_run():
-    from gbmsim import run
-
     scenario = scenario_ring_width()
     scenario = replace(
         scenario, n_sub=8, solver=replace(scenario.solver, t_final=0.02)
@@ -425,6 +425,24 @@ def test_sweep_single_value_matches_direct_run():
     series = {v: r.metrics for v, r in sweep_runs(scenario, "alpha", [45.0])}
     direct = run(scenario).metrics
     assert series[45.0] == direct
+
+
+def test_run_samples_with_the_scenario_threshold():
+    scenario = replace(scenario_ring_width(), n_sub=8, theta=0.3)
+    result = run(scenario, SolverConfig(t_final=0.002))
+    # Two steps: the samples and the snapshots are both at t = 0 and the end.
+    samples = [compute_sample(s, result.mesh, 0.3) for s in result.snapshots]
+    assert result.metrics == samples
+    assert samples[0] != compute_sample(result.snapshots[0], result.mesh, 0.001)
+
+
+def test_sweep_runs_inherit_the_scenario_threshold():
+    scenario = replace(
+        scenario_ring_width(), n_sub=8, theta=0.3, solver=SolverConfig(t_final=0.002)
+    )
+    [(value, result)] = sweep_runs(scenario, "alpha", [45.0])
+    assert value == 45.0
+    assert result.metrics == run(scenario).metrics
 
 
 def test_sweep_order_independent():

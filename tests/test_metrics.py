@@ -5,6 +5,7 @@ max_radius is verified against the vectorized O(n^3) oracle of
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,7 +153,10 @@ def test_area_single_interior_vertex():
 
 
 @pytest.mark.parametrize("theta", [-1.0, 0.0, math.nan, math.inf])
-@pytest.mark.parametrize("observable", [compute_sample], ids=["compute_sample"])
+@pytest.mark.parametrize("observable", [
+    compute_sample,
+    lambda state, mesh, theta: replace(scenario_ring_width(), theta=theta),
+], ids=["compute_sample", "scenario"])
 def test_metrics_reject_theta_like_the_config(observable, theta):
     scenario = scenario_ring_width()
     mesh = scenario.build_mesh()

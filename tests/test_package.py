@@ -68,13 +68,16 @@ def _sample_at(theta):
     ("initial t_density", HUGE, _ode_from, gbmsim.InvalidParameterError),
     ("bump peak", "a", lambda v: gbmsim.BumpSpec(peak=v), gbmsim.InvalidParameterError),
     ("theta", "a", _sample_at, gbmsim.InvalidParameterError),
+    ("theta", "a", lambda v: replace(gbmsim.scenario_ring_width(), theta=v),
+     gbmsim.InvalidParameterError),
     ("initial t_density", "a", _ode_from, gbmsim.InvalidParameterError),
     ("alpha", "45", lambda v: gbmsim.sweep_runs(gbmsim.scenario_ring_width(), "alpha", [v]),
      gbmsim.InvalidParameterError),
 ], ids=[
     "rate-huge", "t_final-huge", "bound-huge", "bump_radius-huge", "bump_center-huge",
     "zone_radius-huge", "zone_center-huge", "n_sub-huge", "ode_start-huge",
-    "bump_peak-text", "theta-text", "ode_start-text", "sweep_value-text",
+    "bump_peak-text", "theta-text", "scenario_theta-text", "ode_start-text",
+    "sweep_value-text",
 ])
 def test_a_number_that_is_not_a_finite_real_gets_the_one_rule(name, value, call, error):
     # One rule (errors.check_range) rejects a value that is not a real number,
