@@ -23,6 +23,7 @@ visible.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -149,13 +150,13 @@ def solve_spd(matrix, rhs, tol: float = SolverConfig.cg_tolerance,
     Sci. Comput. 18, 1997): with V the fields in the difference basis
     [v0, v0 - v1, v0 - 2 v1 + v2, v0 - 3 v1 + 3 v2 - v3], which keeps the
     small system well conditioned, it solves (V A V^T) c = V b and starts
-    from x = c V, r = b - c (A V), one product per field.  A singular or
-    non-finite small system falls back to the newest field; the start only
-    changes the iteration count.  Neither ``rhs`` nor ``x0`` is written to.
+    from x = c V, r = b - c (A V), one product per field; numerically
+    dependent fields are dropped first.  The start only changes the
+    iteration count.  Neither ``rhs`` nor ``x0`` is written to.
 
     The system is normalized by ||b|| internally.  The norm squares the
-    entries, so ||b|| underflows to 0.0 once max|rhs| falls below about
-    1e-162, and the function then returns exact zeros: a tumor field that
+    entries, so ||b|| underflows to 0.0 once max|rhs| < ~1e-162, and the
+    result is then exact zeros, with ``matrix`` not read: a tumor field that
     decays that far is flushed to zero, far above the binary64 floor.
     """
     rhs = np.asarray(rhs, dtype=float)
@@ -164,10 +165,11 @@ def solve_spd(matrix, rhs, tol: float = SolverConfig.cg_tolerance,
         return np.zeros_like(rhs)
 
     inv_diag = 1.0 / matrix.diagonal()
-    b = rhs / b_norm
-    if x0 is None:
-        x0 = np.zeros_like(rhs)
-    x, r = _galerkin_start(matrix, b, np.atleast_2d(x0) / b_norm)
+    fields = np.empty((0, rhs.size)) if x0 is None else np.atleast_2d(x0)
+    stack = np.empty((len(fields) + 1, rhs.size))
+    np.divide(fields, b_norm, out=stack[:-1])
+    b = np.divide(rhs, b_norm, out=stack[-1])
+    x, r = _galerkin_start(matrix, stack)
     z = np.empty_like(b)
     iterations = 0
     while True:
@@ -208,23 +210,41 @@ def solve_spd(matrix, rhs, tol: float = SolverConfig.cg_tolerance,
             )
 
 
-def _galerkin_start(matrix, b, basis):
-    """Return ``(x, b - A x)`` for the Galerkin projection of the solution
-    of A x = b onto the span of the rows of ``basis`` (newest first), which
-    is overwritten with its backward differences."""
+def _galerkin_start(matrix, stack):
+    """The start ``(x, b - A x)`` of :func:`solve_spd` from ``stack`` (the
+    fields, newest first, then b), whose fields become the difference basis V,
+    cut at the first Cholesky pivot of V V^T <= sqrt(n) eps ||v0|| ||vj||."""
+    basis, b = stack[:-1], stack[-1]
     for j in range(1, len(basis)):
         basis[j:] = basis[j - 1 : -1] - basis[j:]
+    gram = (basis @ stack.T).tolist()  # b's column makes it a gemm, not a syrk
+    floors = [math.sqrt(b.size * gram[0][0] * g[j]) for j, g in enumerate(gram)]
+    k = 0  # eliminate while the pivots clear their floors; a NaN one does
+    while k < len(gram) and not gram[k][k] <= floors[k] * math.ulp(1.0):
+        for i in range(k + 1, len(gram)):
+            for j in range(k + 1, i + 1):
+                gram[i][j] -= gram[i][k] * gram[j][k] / gram[k][k]
+        k += 1
+    basis = basis[:k]
     images = np.empty_like(basis)
     for j, v in enumerate(basis):
         images[j] = matrix @ v
     try:
         coeffs = np.linalg.solve(basis @ images.T, basis @ b)
-    except np.linalg.LinAlgError:
-        coeffs = np.full(1, np.nan)
-    if not np.all(np.isfinite(coeffs)):
-        coeffs = np.eye(len(basis))[0]  # the newest field alone
+    except np.linalg.LinAlgError:  # A is not positive definite on the span
+        coeffs = np.zeros(len(basis))
     r = coeffs @ images
     return coeffs @ basis, np.subtract(b, r, out=r)
+
+
+@dataclass
+class _Deferred:
+    """The operator ``build()`` makes, built at its first use (a zero rhs has none)."""
+
+    build: object
+    _matrix = functools.cached_property(lambda self: self.build())
+    diagonal = lambda self: self._matrix.diagonal()  # noqa: E731
+    __matmul__ = lambda self, x: self._matrix @ x  # noqa: E731
 
 
 def step(
@@ -260,11 +280,11 @@ def step(
     # The death rates per unit of the dying field, named as in kinetics.reactions.
     hypoxia, t_by_n = params.alpha * lack, params.beta1 * n_old
     weights = mesh.lumped_weights
-    sink = hypoxia + t_by_n + p * crowd_neg
     gain = t_old * p * crowd_pos
-    system = assemble_stiffness(
-        mesh, params.kappa1 * p + 1.0, weights * (1.0 / dt + sink)
-    )
+    system = _Deferred(lambda: assemble_stiffness(
+        mesh, params.kappa1 * p + 1.0,
+        weights * (1.0 / dt + (hypoxia + t_by_n + p * crowd_neg)),
+    ))
     rhs = weights * (t_old / dt + gain)
     t_new = solve_spd(system, rhs, tol=config.cg_tolerance,
                       max_iter=config.cg_max_iterations, x0=guess)
@@ -318,9 +338,9 @@ def run(scenario, config: SolverConfig | None = None) -> RunResult:
     Deterministic: identical inputs produce bit-identical outputs.
 
     Each tumor solve starts from the Galerkin projection onto the last four
-    accepted T fields (fewer on the first three steps), taken with that step's
-    matrix.  While the fields move smoothly the solution lies close to their
-    span, so CG needs fewer iterations to the same tolerance.
+    accepted T fields (fewer on the first three steps, or where they are
+    numerically dependent), with that step's matrix: while the fields move
+    smoothly, the solution lies close to their span and CG needs fewer steps.
     """
     if config is None:
         config = scenario.solver

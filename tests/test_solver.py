@@ -213,12 +213,42 @@ def test_solve_spd_degenerate_stack_still_converges(stack):
     assert np.linalg.norm(matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
-def test_solve_spd_survives_tiny_scales():
+def test_solve_spd_drops_numerically_dependent_fields():
+    # four fields of one geometric sequence plus noise at the tolerance span
+    # one direction to below what their Gram matrix resolves: the start keeps
+    # at most three, and as the solution is the newest field, CG needs no step
+    rng = np.random.default_rng(18)
+    matrix = random_spd(rng, 30)
+    u = rng.standard_normal(30)
+    fields = 0.9 ** np.arange(4)[:, None] * u + 1e-10 * rng.standard_normal((4, 30))
+    b = matrix @ fields[0]
+    counting = CountingMatrix(matrix)
+    x = solve_spd(counting, b, tol=1e-10, x0=fields)
+    assert counting.matvecs <= 3 + 1
+    assert np.linalg.norm(matrix @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_solve_spd_stalls_when_the_start_system_is_singular():
+    # x0 = (1, 1) has v.Av = 0 on this indefinite matrix: the Galerkin start
+    # falls back to zero, and CG reports the stall
+    with pytest.raises(SolverFailure) as info:
+        solve_spd(sparse.csr_matrix(np.diag([1.0, -1.0])), np.array([0.0, 1.0]),
+                  x0=np.array([1.0, 1.0]))
+    assert info.value.iterations == 0
+    assert info.value.residual == 1.0
+
+
+@pytest.mark.parametrize("b", [
+    pytest.param([1e-150, 2e-150, -1e-150], id="1e-150"),
+    pytest.param([1e-300, 2e-300, -1e-300], id="1e-300", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: ||rhs|| underflows to 0 below "
+        "max|rhs| ~ 1e-162, and solve_spd then returns zeros")),
+])
+def test_solve_spd_survives_tiny_scales(b):
     # magnitudes far below the normal range must not break the iteration
     matrix = sparse.diags([3.0, 5.0, 7.0]).tocsr()
-    b = np.array([1e-300, 2e-300, -1e-300])
-    x = solve_spd(matrix, b)
-    assert np.linalg.norm(matrix @ x - b) <= 1e-10 * np.linalg.norm(b)
+    x = solve_spd(matrix, np.array(b))
+    assert x == pytest.approx(np.array(b) / matrix.diagonal(), rel=1e-10, abs=0.0)
 
 
 # --- one step ----------------------------------------------------------------
@@ -230,6 +260,33 @@ def test_step_equilibrium_without_tumor():
     assert np.all(after.t_field == 0.0)
     assert np.all(after.n_field == 0.0)
     assert np.abs(after.phi_field - 0.37).max() == 0.0
+
+
+@pytest.mark.parametrize("t, assemblies", [(0.0, 0), (0.3, 1)])
+def test_step_assembles_the_operator_only_for_a_live_solve(monkeypatch, t, assemblies):
+    # T = 0 gives an all-zero rhs, whose solve returns before reading the
+    # operator, so the step assembles none
+    calls = []
+    original = gbmsim.solver.assemble_stiffness
+
+    def counting_assembly(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gbmsim.solver, "assemble_stiffness", counting_assembly)
+    mesh = build_mesh((-9, 9, -9, 9), 6)
+    step(uniform_state(mesh, t=t, n=0.2, phi=0.6), TABLE_PARAMS, mesh)
+    assert len(calls) == assemblies
+
+
+def test_step_without_tumor_is_the_homogeneous_step_exactly():
+    mesh = build_mesh((-9, 9, -9, 9), 6)
+    config = SolverConfig(t_final=1e-3)
+    trajectory = run_homogeneous(FieldTriple(0.0, 0.2, 0.6), TABLE_PARAMS, config)
+    after = step(uniform_state(mesh, t=0.0, n=0.2, phi=0.6), TABLE_PARAMS, mesh, config)
+    assert np.all(after.t_field == trajectory.t_density[-1])
+    assert np.all(after.n_field == trajectory.n_density[-1])
+    assert np.all(after.phi_field == trajectory.phi_density[-1])
 
 
 def test_step_constant_implicit_decay():
