@@ -70,7 +70,7 @@ def _write_run_outputs(result, out_dir: Path, vtk: bool) -> None:
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
-    result = run(config.to_scenario())
+    result = run(config)
     _write_run_outputs(result, Path(args.out), config.vtk)
     return 0
 
@@ -84,7 +84,7 @@ def _cmd_sweep(args) -> int:
             values.append(float(token))
         except ValueError:
             check_finite(args.param, token)  # raises: no text is a real number
-    runs = sweep_runs(config.to_scenario(), args.param, values)
+    runs = sweep_runs(config, args.param, values)
     for token, (_, result) in zip(tokens, runs):
         _write_run_outputs(
             result, Path(args.out) / f"{args.param}={token}", config.vtk
@@ -109,6 +109,9 @@ def _cmd_presets(args) -> int:
     for name in PARAMETER_NAMES:
         lo, hi = PARAMETER_RANGES[name]
         print(f"  {name} in [{lo}, {hi}]")
+    phi = 3.0**-0.5  # maximises 2 Phi sqrt((1 - Phi) / (1 + 3 Phi)), which is alpha*
+    alpha_star = 2.0 * phi * ((1.0 - phi) / (1.0 + 3.0 * phi)) ** 0.5
+    print(f"growth threshold alpha* = {alpha_star:.4f}; every sweep point lies above it")
     ring = scenario_ring_width().vasculature_ic
     print(f"ring preset: uniform vasculature {ring.base_level}, necrosis 0")
     surface = scenario_surface_regularity().vasculature_ic

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, InvalidParameterError, SimulationError
+from .errors import ConfigError, InvalidParameterError, SimulationError, check_type
 from .experiments import (
     PARAMETER_NAMES,
     Scenario,
@@ -53,11 +53,11 @@ class RunConfig(Scenario):
     def __post_init__(self):
         super().__post_init__()
         _scenario(self.scenario)
-        if not isinstance(self.vtk, bool):
-            raise InvalidParameterError(f"vtk must be a bool, got {self.vtk!r}")
+        check_type("vtk", self.vtk, bool)
         homogeneous_start(self.ode_initial)
 
     def to_scenario(self) -> Scenario:
+        """This config as a plain ``Scenario``; kept only for ``bench/workloads.py``."""
         return Scenario(**{f.name: getattr(self, f.name) for f in fields(Scenario)})
 
 

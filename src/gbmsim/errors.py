@@ -39,6 +39,12 @@ def check_range(name, value, fits, requirement, error=InvalidParameterError):
         raise error(f"{name} must be finite, got {value!r}")
 
 
+def check_type(name, value, kind):
+    """Raise ``InvalidParameterError("<name> must be a <Kind>, got <value>")`` unless it is."""
+    if not isinstance(value, kind):
+        raise InvalidParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 def check_integer(name, value, error=InvalidParameterError):
     """Raise ``error("<name> must be an integer, got <value>")`` unless it is."""
     try:

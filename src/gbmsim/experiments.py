@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
-from .errors import InvalidParameterError, check_finite, check_range
+from .errors import InvalidParameterError, check_finite, check_range, check_type
 from .kinetics import DimensionlessParameters
 from .mesh import StructuredTriMesh, build_mesh, check_bounds, check_n_sub
 from .metrics import DEFAULT_THRESHOLD, check_threshold
@@ -151,8 +151,7 @@ class ZonedVasculature:
     def __post_init__(self):
         _check_level("vasculature", self.base_level)
         for zone in self.zones:
-            if not isinstance(zone, ZoneSpec):
-                raise InvalidParameterError(f"zone must be a ZoneSpec, got {zone!r}")
+            check_type("zone", zone, ZoneSpec)
 
     def field(self, mesh: StructuredTriMesh) -> np.ndarray:
         """The vasculature at the mesh's vertices."""
@@ -182,6 +181,10 @@ class Scenario:
     theta: float = DEFAULT_THRESHOLD
 
     def __post_init__(self):
+        check_type("params", self.params, DimensionlessParameters)
+        check_type("tumor_ic", self.tumor_ic, BumpSpec)
+        check_type("vasculature_ic", self.vasculature_ic, ZonedVasculature)
+        check_type("solver", self.solver, SolverConfig)
         self.tumor_ic.check_within(self.bounds)  # checks the bounds first
         check_n_sub(self.n_sub)
         _check_level("necrosis", self.necrosis_level)
@@ -228,27 +231,23 @@ def _disc_box(mesh: StructuredTriMesh, center, radius: float):
     return (rows, cols), dx * dx + dy * dy
 
 
-def scenario_ring_width(
-    param_overrides: Mapping[str, float] | None = None,
-) -> Scenario:
+def scenario_ring_width() -> Scenario:
     """Ring-width preset: uniform initial vasculature, zero necrosis."""
-    return _preset(ZonedVasculature(DEFAULT_UNIFORM_LEVEL, ()), param_overrides)
+    return _preset(ZonedVasculature(DEFAULT_UNIFORM_LEVEL, ()))
 
 
-def scenario_surface_regularity(
-    param_overrides: Mapping[str, float] | None = None,
-) -> Scenario:
+def scenario_surface_regularity() -> Scenario:
     """Surface-regularity preset: three vascular corridors on an avascular
     background."""
-    return _preset(ZonedVasculature(DEFAULT_ZONE_BASE, DEFAULT_ZONES), param_overrides)
+    return _preset(ZonedVasculature(DEFAULT_ZONE_BASE, DEFAULT_ZONES))
 
 
-def _preset(vasculature: ZonedVasculature, overrides) -> Scenario:
+def _preset(vasculature: ZonedVasculature) -> Scenario:
     """The default domain, rates and seed with the given vasculature."""
     return Scenario(
         bounds=DEFAULT_BOUNDS,
         n_sub=DEFAULT_N_SUB,
-        params=_override(DEFAULT_PARAMETERS, overrides),
+        params=DEFAULT_PARAMETERS,
         tumor_ic=BumpSpec(),
         vasculature_ic=vasculature,
     )
@@ -258,16 +257,6 @@ def _check_parameter(name) -> None:
     """Reject a name that is not one of the model's rates."""
     if name not in PARAMETER_NAMES:
         raise InvalidParameterError(f"unknown parameter {name!r}")
-
-
-def _override(
-    params: DimensionlessParameters, overrides: Mapping[str, float] | None
-) -> DimensionlessParameters:
-    if not overrides:
-        return params
-    for name in overrides:
-        _check_parameter(name)
-    return replace(params, **dict(overrides))
 
 
 def default_sweep_values(param_name: str) -> tuple[float, float, float]:

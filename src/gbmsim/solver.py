@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, SolverFailure
-from .errors import check_finite, check_integer, check_range
+from .errors import check_finite, check_integer, check_range, check_type
 from .kinetics import DimensionlessParameters, FieldTriple, vascular_fraction
 from .mesh import StructuredTriMesh, assemble_stiffness, vertex_field
 from .metrics import MetricsSample, compute_sample
@@ -336,6 +336,7 @@ def run(scenario, config: SolverConfig | None = None) -> RunResult:
     ``metrics_every`` steps plus at t = 0 and the final step; snapshots every
     ``snapshot_every`` steps plus the final step.
     Deterministic: identical inputs produce bit-identical outputs.
+    ``config``, kept only for ``bench/workloads.py``, replaces ``scenario.solver``.
 
     Each tumor solve starts from the Galerkin projection onto the last four
     accepted T fields (fewer on the first three steps, or where they are
@@ -386,8 +387,9 @@ def run(scenario, config: SolverConfig | None = None) -> RunResult:
 
 
 def homogeneous_start(initial: FieldTriple) -> tuple[float, float, float]:
-    """The start of :func:`run_homogeneous` as floats (T, N, Phi); each must
-    be finite."""
+    """The ``FieldTriple`` start of :func:`run_homogeneous` as floats (T, N,
+    Phi); each must be finite."""
+    check_type("initial", initial, FieldTriple)
     for name, value in vars(initial).items():
         check_finite(f"initial {name}", value)
     return tuple(map(float, vars(initial).values()))

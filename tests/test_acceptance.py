@@ -44,51 +44,33 @@ def check(number: int, passed: bool, detail: str) -> None:
     assert passed, f"criterion {number}: {detail}"
 
 
-def run_series(scenario, t_final=COMPARISON_HORIZON, metrics_every=250):
-    config = replace(
-        scenario.solver, t_final=t_final, metrics_every=metrics_every
+def campaign(preset, names):
+    """The preset's run at t_final=25, keyed "default", and a ``sweep_runs``
+    over each named rate's range ends, keyed "<name>=<value>"."""
+    base = preset()
+    base = replace(
+        base,
+        solver=replace(base.solver, t_final=COMPARISON_HORIZON, metrics_every=250),
     )
-    return g.run(scenario, config)
+    runs = {"default": g.run(base).metrics}
+    for name in names:
+        for value, result in g.sweep_runs(base, name, RANGES[name]):
+            runs[f"{name}={value:g}"] = result.metrics
+    return runs
 
 
 @pytest.fixture(scope="module")
 def uniform_runs():
     """Ring-width scenario at t_final=25 for the alpha/kappa1/beta1 grids."""
-    cases = {
-        "default": {},
-        "alpha=10": {"alpha": 10.0},
-        "alpha=100": {"alpha": 100.0},
-        "kappa1=10": {"kappa1": 10.0},
-        "kappa1=100": {"kappa1": 100.0},
-        "beta1=5": {"beta1": 5.0},
-        "beta1=50": {"beta1": 50.0},
-    }
-    return {
-        key: run_series(g.scenario_ring_width(overrides)).metrics
-        for key, overrides in cases.items()
-    }
+    return campaign(g.scenario_ring_width, ("alpha", "kappa1", "beta1"))
 
 
 @pytest.fixture(scope="module")
 def zoned_runs():
     """Surface-regularity scenario at t_final=25 for all six parameter grids."""
-    cases = {
-        "default": {},
-        "kappa1=10": {"kappa1": 10.0},
-        "kappa1=100": {"kappa1": 100.0},
-        "beta1=5": {"beta1": 5.0},
-        "beta1=50": {"beta1": 50.0},
-        "gamma=0.01": {"gamma": 0.01},
-        "gamma=0.5": {"gamma": 0.5},
-        "delta=0.1": {"delta": 0.1},
-        "delta=5": {"delta": 5.0},
-        "beta2=0.1": {"beta2": 0.1},
-        "beta2=5": {"beta2": 5.0},
-    }
-    return {
-        key: run_series(g.scenario_surface_regularity(overrides)).metrics
-        for key, overrides in cases.items()
-    }
+    return campaign(
+        g.scenario_surface_regularity, ("kappa1", "beta1", "gamma", "delta", "beta2")
+    )
 
 
 @pytest.fixture(scope="module")
@@ -491,7 +473,7 @@ def test_criterion_13_full_scale_smoke():
         scenario.solver, t_final=500.0, metrics_every=5000, snapshot_every=100_000
     )
     started = time.perf_counter()
-    result = g.run(scenario, config)
+    result = g.run(replace(scenario, solver=config))
     elapsed = time.perf_counter() - started
     check(
         13,

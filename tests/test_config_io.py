@@ -38,9 +38,8 @@ def test_empty_config_is_ring_defaults():
     assert config.n_sub == 45
     assert config.solver.dt == 1e-3
     assert config.theta == 0.001
-    scenario = config.to_scenario()
-    assert scenario.vasculature_ic.base_level == 0.5
-    assert scenario.vasculature_ic.zones == ()
+    assert config.vasculature_ic.base_level == 0.5
+    assert config.vasculature_ic.zones == ()
 
 
 @pytest.mark.parametrize(
@@ -208,7 +207,7 @@ def _bump_with_infinite_radius():
 def _run_with_infinite_theta():
     scenario = scenario_ring_width()
     config = gbmsim.SolverConfig(t_final=0.002)
-    gbmsim.run(dataclasses.replace(scenario, n_sub=4, theta=math.inf), config)
+    gbmsim.run(dataclasses.replace(scenario, n_sub=4, theta=math.inf, solver=config))
 
 
 def _ode_with_nan_tumor():
@@ -255,8 +254,6 @@ def test_surface_scenario_with_zones():
     assert config.scenario == "surface" and config.vtk is True
     assert len(config.vasculature_ic.zones) == 2
     assert config.vasculature_ic.zones[0].level == 0.9
-    scenario = config.to_scenario()
-    assert len(scenario.vasculature_ic.zones) == 2
 
 
 def test_zones_require_surface_scenario():
@@ -266,11 +263,10 @@ def test_zones_require_surface_scenario():
 
 def test_surface_defaults_three_corridors():
     config = parse_config("[ic]\nscenario=surface\n")
-    scenario = config.to_scenario()
-    zones = scenario.vasculature_ic.zones
+    zones = config.vasculature_ic.zones
     assert len(zones) == 9  # three corridors of three discs each
     assert sorted({z.level for z in zones}) == [0.2, 0.25, 0.3]
-    assert scenario.vasculature_ic.base_level == 0.0
+    assert config.vasculature_ic.base_level == 0.0
 
 
 def test_solver_and_mesh_settings():
@@ -479,6 +475,18 @@ def test_cli_presets_output(capsys):
     assert "kappa1=55.0" in out
     assert "ring preset: uniform vasculature 0.5," in out
     assert "3 vasculature corridors (0.3/0.25/0.2) on base 0.0" in out
+
+
+def test_cli_presets_prints_the_growth_threshold_below_the_ranges(capsys):
+    # alpha* = max over Phi of 2 Phi sqrt((1 - Phi) / (1 + 3 Phi)), at Phi = 1/sqrt(3).
+    assert main(["presets"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    [line] = [line for line in lines if "alpha*" in line]
+    assert line == "growth threshold alpha* = 0.4542; every sweep point lies above it"
+    phi = np.linspace(0.0, 1.0, 100_001)
+    alpha_star = float(np.max(2.0 * phi * np.sqrt((1.0 - phi) / (1.0 + 3.0 * phi))))
+    assert alpha_star == pytest.approx(0.4542, abs=5e-5)
+    assert gbmsim.PARAMETER_RANGES["alpha"][0] > alpha_star
 
 
 def test_cli_unknown_subcommand():

@@ -73,32 +73,17 @@ def test_ring_scenario_defaults():
     assert scenario.vasculature_ic.zones == ()
 
 
-def test_ring_scenario_override():
-    scenario = scenario_ring_width({"alpha": 100.0})
-    assert scenario.params.alpha == 100.0
-    assert scenario.params.kappa1 == 55.0
-    for endpoint in PARAMETER_RANGES["kappa1"]:
-        scenario_ring_width({"kappa1": endpoint})
-
-
 def test_scenario_construction_is_pure():
-    assert scenario_ring_width({"alpha": 30.0}) == scenario_ring_width(
-        {"alpha": 30.0}
-    )
+    assert scenario_ring_width() == scenario_ring_width()
+    assert scenario_surface_regularity() == scenario_surface_regularity()
 
 
 def test_surface_scenario_zoned_ic():
     scenario = scenario_surface_regularity()
     assert scenario.params.delta == 2.55
-    scenario_surface_regularity({"gamma": 0.01})
     mesh = scenario.build_mesh()
     state = scenario.initial_state(mesh)
     assert len(np.unique(state.phi_field)) >= 2
-
-
-def test_unknown_override_rejected():
-    with pytest.raises(InvalidParameterError, match="^unknown parameter 'rho'$"):
-        scenario_ring_width({"rho": 2.0})
 
 
 def test_tumor_ic_bump_shape():
@@ -429,7 +414,7 @@ def test_sweep_single_value_matches_direct_run():
 
 def test_run_samples_with_the_scenario_threshold():
     scenario = replace(scenario_ring_width(), n_sub=8, theta=0.3)
-    result = run(scenario, SolverConfig(t_final=0.002))
+    result = run(replace(scenario, solver=SolverConfig(t_final=0.002)))
     # Two steps: the samples and the snapshots are both at t = 0 and the end.
     samples = [compute_sample(s, result.mesh, 0.3) for s in result.snapshots]
     assert result.metrics == samples
@@ -468,6 +453,7 @@ def test_sweep_rq_starts_at_one():
 
 def test_sweep_runs_checks_arguments_before_running():
     scenario = scenario_ring_width()
+    sweep_runs(scenario, "kappa1", PARAMETER_RANGES["kappa1"])  # both ends are rates
     with pytest.raises(InvalidParameterError):
         sweep_runs(scenario, "alpha", [])
     with pytest.raises(InvalidParameterError):

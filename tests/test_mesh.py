@@ -341,7 +341,8 @@ def test_import_and_a_ring_run_load_no_scipy():
         "import dataclasses, sys\n"
         "import gbmsim\n"
         "scenario = dataclasses.replace(gbmsim.scenario_ring_width(), n_sub=4)\n"
-        "result = gbmsim.run(scenario, gbmsim.SolverConfig(t_final=0.005))\n"
+        "config = gbmsim.SolverConfig(t_final=0.005)\n"
+        "result = gbmsim.run(dataclasses.replace(scenario, solver=config))\n"
         "assert result.metrics[-1].time == 0.005\n"
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
     )

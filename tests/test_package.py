@@ -85,3 +85,36 @@ def test_a_number_that_is_not_a_finite_real_gets_the_one_rule(name, value, call,
     with pytest.raises(error) as info:
         call(value)
     assert str(info.value) == f"{name} must be finite, got {value!r}"
+
+
+def _preset_with(**changes):
+    replace(gbmsim.scenario_ring_width(), **changes)
+
+
+def _config_with(**changes):
+    replace(gbmsim.parse_config(""), **changes)
+
+
+def _ode_start(start):
+    gbmsim.run_homogeneous(
+        start, gbmsim.DEFAULT_PARAMETERS, gbmsim.SolverConfig(t_final=0.001)
+    )
+
+
+@pytest.mark.parametrize("name, kind, value, call", [
+    ("params", "DimensionlessParameters", {"alpha": 1},
+     lambda v: _preset_with(params=v)),
+    ("tumor_ic", "BumpSpec", (0.0, 0.0), lambda v: _preset_with(tumor_ic=v)),
+    ("vasculature_ic", "ZonedVasculature", 0.5,
+     lambda v: _preset_with(vasculature_ic=v)),
+    ("solver", "SolverConfig", None, lambda v: _preset_with(solver=v)),
+    ("initial", "FieldTriple", (0.1, 0.0, 0.5), lambda v: _config_with(ode_initial=v)),
+    ("initial", "FieldTriple", (0.1, 0.0, 0.5), _ode_start),
+], ids=["params-dict", "tumor_ic-tuple", "vasculature_ic-float", "solver-None",
+        "config_ode_initial-tuple", "run_homogeneous_start-tuple"])
+def test_a_spec_of_the_wrong_type_gets_the_one_type_rule(name, kind, value, call):
+    # One rule (errors.check_type) rejects a spec of the wrong type where it
+    # enters, before any attribute of it is read.
+    with pytest.raises(gbmsim.InvalidParameterError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be a {kind}, got {value!r}"

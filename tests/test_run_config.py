@@ -41,7 +41,7 @@ def test_config_edits_each_value_once():
         scenario_ring_width().tumor_ic, center=(0.0, 1.0), peak=0.25
     )
     assert config.vasculature_ic.base_level == 0.4
-    assert config.theta == config.to_scenario().theta == 0.01
+    assert config.theta == 0.01
 
 
 def test_file_zones_replace_the_preset_zones():

@@ -1,6 +1,7 @@
 """Time stepper, linear solver, and homogeneous-mode tests."""
 
 import logging
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -393,6 +394,58 @@ def test_bound_monitor_logs_each_violation_once(caplog):
         assert f"{violation.field} " in record.getMessage()
 
 
+# A known answer for the whole step.  On [0, 4]^2 with kappa1 = 0 (so D = 1),
+# alpha = 10 and the other rates 0, start from Phi = 1/2, N = 0 and
+# T = eps (1 + cos(pi x / 4) cos(pi y / 4) / 2) with eps = 1e-10.  Phi never
+# changes, N feeds back into nothing, and T moves P and the crowding term only
+# at O(eps).  So T solves the heat equation with the constant net rate
+# r = P (1 - Phi) - alpha sqrt(1 - P^2), P = 2/3, and the cosine, which has no
+# flux through the boundary, decays at pi^2 / 8 more.
+COSINE_PARAMS = DimensionlessParameters(
+    kappa1=0.0, alpha=10.0, beta1=0.0, beta2=0.0, gamma=0.0, delta=0.0
+)
+COSINE_RATE = 2.0 / 3.0 * 0.5 - 10.0 * math.sqrt(1.0 - (2.0 / 3.0) ** 2)
+
+
+def cosine_mode(x, y, t):
+    mode = np.cos(np.pi * x / 4.0) * np.cos(np.pi * y / 4.0)
+    decay = np.exp(-np.pi**2 / 8.0 * t)
+    return 1e-10 * np.exp(COSINE_RATE * t) * (1.0 + 0.5 * mode * decay)
+
+
+def cosine_mode_error(n_sub, dt, t_final, diagonal):
+    """The lumped-L2 error of ``step``'s T at ``t_final``, relative to the
+    lumped-L2 norm of the known answer."""
+    mesh = build_mesh((0.0, 4.0, 0.0, 4.0), n_sub, diagonal=diagonal)
+    x, y = mesh.vertices.T
+    state = replace(uniform_state(mesh, phi=0.5), t_field=cosine_mode(x, y, 0.0))
+    config = SolverConfig(dt=dt, cg_tolerance=1e-12)
+    n_steps = round(t_final / dt)
+    for _ in range(n_steps):
+        state = step(state, COSINE_PARAMS, mesh, config)
+    exact = cosine_mode(x, y, n_steps * dt)
+    weights = mesh.lumped_weights
+    return math.sqrt(weights @ (state.t_field - exact) ** 2 / (weights @ exact**2))
+
+
+def assert_order(coarse_error, fine_error, expected):
+    # One halving of h or dt must show the expected order p to within p / 4:
+    # the error ratio lies in [2^(0.75 p), 2^(1.25 p)].
+    order = math.log2(coarse_error / fine_error)
+    assert 0.75 * expected <= order <= 1.25 * expected, (coarse_error, fine_error)
+
+
+@pytest.mark.parametrize("diagonal", ["main", "anti"])
+def test_step_converges_to_the_cosine_mode_in_space_and_time(diagonal):
+    # Space, second order: at dt = 2.5e-5 the time error is a seventh of the
+    # space error at n = 16.
+    space_errors = [cosine_mode_error(n, 2.5e-5, 0.05, diagonal) for n in (8, 16)]
+    assert_order(*space_errors, expected=2)
+    # Time, first order: at n = 16 the space error is a 25th of the time error.
+    time_errors = [cosine_mode_error(16, dt, 0.2, diagonal) for dt in (4e-3, 2e-3)]
+    assert_order(*time_errors, expected=1)
+
+
 # --- run driver ---------------------------------------------------------------
 
 def test_run_zero_horizon_single_sample():
@@ -535,7 +588,7 @@ def test_n_steps_is_the_step_count_of_run_and_run_homogeneous(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(gbmsim.solver, "step", counting_step)
-    run(replace(scenario_ring_width(), n_sub=4), config)
+    run(replace(scenario_ring_width(), n_sub=4, solver=config))
     trajectory = run_homogeneous(FieldTriple(0.1, 0.0, 0.5), TABLE_PARAMS, config)
     assert config.n_steps == 3
     assert len(steps) == len(trajectory) - 1 == config.n_steps
@@ -664,8 +717,8 @@ def test_time_step_robustness_on_ring_scenario():
     fine_cfg = replace(
         scenario.solver, dt=5e-4, t_final=5.0, metrics_every=10**9
     )
-    coarse = run(scenario, coarse_cfg)
-    fine = run(scenario, fine_cfg)
+    coarse = run(replace(scenario, solver=coarse_cfg))
+    fine = run(replace(scenario, solver=fine_cfg))
     gap = np.abs(
         coarse.snapshots[-1].t_field - fine.snapshots[-1].t_field
     ).max()
