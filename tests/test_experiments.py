@@ -73,6 +73,16 @@ def test_ring_scenario_defaults():
     assert scenario.vasculature_ic.zones == ()
 
 
+def test_ring_scenario_override():
+    scenario = scenario_ring_width()
+    edited = replace(scenario, params=replace(scenario.params, alpha=100.0))
+    assert edited.params.alpha == 100.0
+    assert edited.params.kappa1 == 55.0
+    assert scenario.params.alpha == 45.0
+    for endpoint in PARAMETER_RANGES["kappa1"]:
+        replace(scenario, params=replace(scenario.params, kappa1=endpoint))
+
+
 def test_scenario_construction_is_pure():
     assert scenario_ring_width() == scenario_ring_width()
     assert scenario_surface_regularity() == scenario_surface_regularity()
