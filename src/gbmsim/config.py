@@ -46,13 +46,11 @@ class RunConfig(Scenario):
     """The named preset ``Scenario`` as a config file edits it, with the run
     settings of one run/sweep/ode invocation."""
 
-    scenario: str = "ring"
     vtk: bool = False
     ode_initial: FieldTriple = FieldTriple(0.1, 0.0, 0.5)
 
     def __post_init__(self):
         super().__post_init__()
-        _scenario(self.scenario)
         check_type("vtk", self.vtk, bool)
         homogeneous_start(self.ode_initial)
 
@@ -63,8 +61,8 @@ class RunConfig(Scenario):
 
 # The config that an empty file gives, for each value of the scenario key.
 _PRESETS = {
-    "ring": RunConfig(**vars(scenario_ring_width()), scenario="ring"),
-    "surface": RunConfig(**vars(scenario_surface_regularity()), scenario="surface"),
+    "ring": RunConfig(**vars(scenario_ring_width())),
+    "surface": RunConfig(**vars(scenario_surface_regularity())),
 }
 
 _EXPECTED = {float: "a number", int: "an integer"}
@@ -150,7 +148,7 @@ def _resolve(found: dict) -> RunConfig:
         for step in path[:-1]:
             node = node.setdefault(step, {})
         node[path[-1]] = value
-    return _edit(_PRESETS[edits.get("scenario", "ring")], edits)
+    return _edit(_PRESETS[edits.pop("scenario", "ring")], edits)
 
 
 def _line_of(found: dict, message: str) -> int | None:

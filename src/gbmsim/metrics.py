@@ -4,8 +4,8 @@
 (proliferative fraction of the total tumor mass), the thresholded tumor region
 and its lumped area, the radius of the smallest circle enclosing the region
 (:func:`max_radius`, for any finite point set), and the surface quotient (area
-over enclosing-disc area).  All functions are pure and operate on immutable
-snapshots, so they are safe to call concurrently.
+over enclosing-disc area).  No function writes to the state it reads, so
+they are safe to call concurrently on a state that nothing else changes.
 
 On coarse meshes the surface quotient can exceed 1 because the thresholded
 region is measured through vertex lumped weights while the enclosing radius

@@ -23,7 +23,6 @@ visible.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -156,8 +155,9 @@ def solve_spd(matrix, rhs, tol: float = SolverConfig.cg_tolerance,
 
     The system is normalized by ||b|| internally.  The norm squares the
     entries, so ||b|| underflows to 0.0 once max|rhs| < ~1e-162, and the
-    result is then exact zeros, with ``matrix`` not read: a tumor field that
-    decays that far is flushed to zero, far above the binary64 floor.
+    result is then exact zeros, with ``matrix`` not read (:func:`step` then
+    passes ``None``): a tumor field that decays that far is flushed to zero,
+    far above the binary64 floor.
     """
     rhs = np.asarray(rhs, dtype=float)
     b_norm = math.sqrt(rhs @ rhs)
@@ -237,16 +237,6 @@ def _galerkin_start(matrix, stack):
     return coeffs @ basis, np.subtract(b, r, out=r)
 
 
-@dataclass
-class _Deferred:
-    """The operator ``build()`` makes, built at its first use (a zero rhs has none)."""
-
-    build: object
-    _matrix = functools.cached_property(lambda self: self.build())
-    diagonal = lambda self: self._matrix.diagonal()  # noqa: E731
-    __matmul__ = lambda self, x: self._matrix @ x  # noqa: E731
-
-
 def step(
     state: SimulationState,
     params: DimensionlessParameters,
@@ -281,11 +271,12 @@ def step(
     hypoxia, t_by_n = params.alpha * lack, params.beta1 * n_old
     weights = mesh.lumped_weights
     gain = t_old * p * crowd_pos
-    system = _Deferred(lambda: assemble_stiffness(
+    rhs = weights * (t_old / dt + gain)
+    # solve_spd reads no operator when ||rhs|| is 0 (underflow included).
+    system = assemble_stiffness(
         mesh, params.kappa1 * p + 1.0,
         weights * (1.0 / dt + (hypoxia + t_by_n + p * crowd_neg)),
-    ))
-    rhs = weights * (t_old / dt + gain)
+    ) if rhs @ rhs else None
     t_new = solve_spd(system, rhs, tol=config.cg_tolerance,
                       max_iter=config.cg_max_iterations, x0=guess)
 
@@ -305,27 +296,19 @@ def step(
 def _check_bounds(
     state: SimulationState, step_index: int, violations: list[BoundViolation]
 ) -> None:
-    checks = (
-        ("T", state.t_field, True),
-        ("Phi", state.phi_field, True),
-        ("N", state.n_field, False),  # no upper bound, so no maximum is taken
+    t, phi, n = state.t_field, state.phi_field, state.n_field
+    extremes = (  # N has no upper bound, so no maximum is taken
+        ("T", "min", t.min()), ("T", "max", t.max()),
+        ("Phi", "min", phi.min()), ("Phi", "max", phi.max()),
+        ("N", "min", n.min()),
     )
-    for name, values, has_upper in checks:
-        if (lo := float(values.min())) < -LOWER_BOUND_TOL:
-            violations.append(
-                BoundViolation(step_index, state.time, name, lo, "lower")
-            )
+    for name, stat, value in extremes:
+        if value < -LOWER_BOUND_TOL if stat == "min" else value > 1.0 + UPPER_BOUND_TOL:
+            bound = "lower" if stat == "min" else "upper"
+            violations.append(BoundViolation(step_index, state.time, name, float(value), bound))
             logger.warning(
-                "bound violation at step %d (t=%.6g): %s min = %.3e",
-                step_index, state.time, name, lo,
-            )
-        if has_upper and (hi := float(values.max())) > 1.0 + UPPER_BOUND_TOL:
-            violations.append(
-                BoundViolation(step_index, state.time, name, hi, "upper")
-            )
-            logger.warning(
-                "bound violation at step %d (t=%.6g): %s max = %.6g",
-                step_index, state.time, name, hi,
+                "bound violation at step %d (t=%.6g): %s %s = %.6g",
+                step_index, state.time, name, stat, value,
             )
 
 
@@ -335,7 +318,8 @@ def run(scenario, config: SolverConfig | None = None) -> RunResult:
     Metrics, with the region threshold ``scenario.theta``, are sampled every
     ``metrics_every`` steps plus at t = 0 and the final step; snapshots every
     ``snapshot_every`` steps plus the final step.
-    Deterministic: identical inputs produce bit-identical outputs.
+    Deterministic: identical inputs produce bit-identical outputs, with one
+    caveat: at ``n_sub=180`` the bits follow the number of BLAS threads.
     ``config``, kept only for ``bench/workloads.py``, replaces ``scenario.solver``.
 
     Each tumor solve starts from the Galerkin projection onto the last four

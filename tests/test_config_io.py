@@ -33,7 +33,7 @@ from gbmsim.config import _KEYS
 
 def test_empty_config_is_ring_defaults():
     config = parse_config("")
-    assert config.scenario == "ring"
+    assert config.vasculature_ic == scenario_ring_width().vasculature_ic
     assert config.params.alpha == 45.0
     assert config.n_sub == 45
     assert config.solver.dt == 1e-3
@@ -251,7 +251,10 @@ def test_surface_scenario_with_zones():
         "[output]\nvtk=true\n"
     )
     config = parse_config(text)
-    assert config.scenario == "surface" and config.vtk is True
+    assert config.vtk is True
+    assert config.vasculature_ic.base_level == (
+        scenario_surface_regularity().vasculature_ic.base_level
+    )
     assert len(config.vasculature_ic.zones) == 2
     assert config.vasculature_ic.zones[0].level == 0.9
 

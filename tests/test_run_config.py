@@ -27,6 +27,9 @@ def test_config_is_the_preset_scenario_with_run_settings(text, preset):
     assert isinstance(config, RunConfig) and isinstance(config, Scenario)
     assert Scenario(**{name: getattr(config, name) for name in vars(preset())}) == preset()
     assert (config.theta, config.vtk) == (0.001, False)
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        *(f.name for f in dataclasses.fields(Scenario)), "vtk", "ode_initial"
+    ]
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.n_sub = 12
 
@@ -66,9 +69,8 @@ def test_a_key_of_the_other_scenario_is_reported_before_its_range(text, line, me
 
 
 @pytest.mark.parametrize("name, value, message", [
-    ("scenario", "square", "scenario must be 'ring' or 'surface', got 'square'"),
     ("vtk", "no", "vtk must be a bool, got 'no'"),
-], ids=["scenario", "vtk"])
+], ids=["vtk"])
 def test_a_run_setting_is_checked_without_the_parser(name, value, message):
     # The parser is not the only way in: dataclasses.replace runs the same checks.
     with pytest.raises(InvalidParameterError) as info:
