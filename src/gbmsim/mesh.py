@@ -217,8 +217,7 @@ class StencilMatrix:
     product sums, so it has the CSR product's bits.  Unlike CSR, a boundary
     row's missing west or east neighbour enters with a zero coefficient, so
     a non-finite entry of x spreads to that row too (:func:`solve_spd`'s
-    stall check rejects non-finite input).  The products share one scratch
-    buffer, so one operator serves one thread at a time.
+    stall check rejects non-finite input).
     """
 
     def __init__(self, planes: np.ndarray, layout):
@@ -229,25 +228,18 @@ class StencilMatrix:
         # A south (west) coefficient is also the north (east) one of the
         # vertex below (before) it.
         self._south, self._west = south[m:], west[1:]
-        self._scratch = np.empty(m * m)
 
     def diagonal(self) -> np.ndarray:
         return self._centre.copy()
 
     def __matmul__(self, x):
-        m, t = self._m, self._scratch
-        t_s, t_w = t[:-m], t[:-1]
-        y = np.zeros(t.size)
-        np.multiply(self._south, x[:-m], out=t_s)
-        y[m:] += t_s
-        np.multiply(self._west, x[:-1], out=t_w)
-        y[1:] += t_w
-        np.multiply(self._centre, x, out=t)
-        y += t
-        np.multiply(self._west, x[1:], out=t_w)
-        y[:-1] += t_w
-        np.multiply(self._south, x[m:], out=t_s)
-        y[:-m] += t_s
+        m = self._m
+        y = np.zeros(x.size)
+        y[m:] += self._south * x[:-m]
+        y[1:] += self._west * x[:-1]
+        y += self._centre * x
+        y[:-1] += self._west * x[1:]
+        y[:-m] += self._south * x[m:]
         return y
 
     def toarray(self) -> np.ndarray:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,7 +134,7 @@ class HomogeneousTrajectory:
 
 
 def solve_spd(matrix, rhs, tol: float = SolverConfig.cg_tolerance,
-              max_iter: int = SolverConfig.cg_max_iterations, x0=None):
+              max_iter: int = SolverConfig.cg_max_iterations, x0=()):
     """Jacobi-preconditioned conjugate gradients for an SPD system; ``matrix``
     needs only ``@`` and ``diagonal()``.
 
@@ -143,8 +144,9 @@ def solve_spd(matrix, rhs, tol: float = SolverConfig.cg_tolerance,
     :class:`SolverFailure`: the ``max_iter`` budget is spent, or CG stalled
     (r.z or p.Ap not positive: a non-SPD matrix, or non-finite input).
 
-    ``x0`` is one previous solution or a stack of them, newest first (zero
-    when omitted; :func:`run` passes four).  CG starts from the Galerkin
+    ``x0`` is a sequence of previous solutions, each shaped like ``rhs`` (else
+    :class:`InvalidParameterError`), newest first: ``()`` starts from zero,
+    and :func:`run` passes up to four.  CG starts from the Galerkin
     projection onto their span with this ``matrix`` (Chan & Wan, SIAM J.
     Sci. Comput. 18, 1997): with V the fields in the difference basis
     [v0, v0 - v1, v0 - 2 v1 + v2, v0 - 3 v1 + 3 v2 - v3], which keeps the
@@ -160,27 +162,29 @@ def solve_spd(matrix, rhs, tol: float = SolverConfig.cg_tolerance,
     far above the binary64 floor.
     """
     rhs = np.asarray(rhs, dtype=float)
+    for shape in map(np.shape, x0):
+        if shape != rhs.shape:
+            raise InvalidParameterError(f"x0 field shape {shape} is not {rhs.shape}")
     b_norm = math.sqrt(rhs @ rhs)
     if b_norm == 0.0:
         return np.zeros_like(rhs)
 
     inv_diag = 1.0 / matrix.diagonal()
-    fields = np.empty((0, rhs.size)) if x0 is None else np.atleast_2d(x0)
-    stack = np.empty((len(fields) + 1, rhs.size))
-    np.divide(fields, b_norm, out=stack[:-1])
+    stack = np.empty((len(x0) + 1, rhs.size))
+    for row, field in zip(stack, x0):
+        np.divide(field, b_norm, out=row)
     b = np.divide(rhs, b_norm, out=stack[-1])
     x, r = _galerkin_start(matrix, stack)
-    z = np.empty_like(b)
     iterations = 0
     while True:
         # One CG cycle from r: the projected residual at the start, the true
         # one on a restart.  "not <=" also ends it on a NaN residual.
         p, stalled = None, False
         while not math.sqrt(r @ r) <= tol and iterations < max_iter:
-            np.multiply(inv_diag, r, out=z)
+            z = inv_diag * r
             rz_new = float(r @ z)
             if p is None:
-                p = z.copy()
+                p = z
             else:
                 p *= rz_new / rz
                 p += z
@@ -242,24 +246,20 @@ def step(
     params: DimensionlessParameters,
     mesh: StructuredTriMesh,
     config: SolverConfig = SolverConfig(),
-    guess: np.ndarray | None = None,
+    guess: Sequence[np.ndarray] | None = None,
 ) -> SimulationState:
     """Advance the state by one time step (see module docstring for the
     splitting).
 
     It reads ``dt``, ``cg_tolerance`` and ``cg_max_iterations`` from ``config``.
-    ``guess`` is the tumor solve's ``x0``: one field or a stack of previous
-    tumor fields, newest first (see :func:`solve_spd`).  It defaults to the
-    old tumor field and changes only the iteration count.
+    ``guess`` is the tumor solve's ``x0``: a sequence of previous tumor
+    fields, newest first (see :func:`solve_spd`).  It defaults to
+    ``(state.t_field,)`` and changes only the iteration count.
     """
     dt = config.dt
     t_old = vertex_field(mesh, "T", state.t_field)
     n_old = vertex_field(mesh, "N", state.n_field)
     phi_old = vertex_field(mesh, "Phi", state.phi_field)
-    if guess is None:
-        guess = t_old
-    elif not np.size(guess) or np.atleast_2d(guess).shape[1:] != t_old.shape:
-        raise InvalidParameterError("guess length does not match the mesh")
 
     p = vascular_fraction(phi_old, t_old)
     lack = np.sqrt(1.0 - p * p)
@@ -278,7 +278,8 @@ def step(
         weights * (1.0 / dt + (hypoxia + t_by_n + p * crowd_neg)),
     ) if rhs @ rhs else None
     t_new = solve_spd(system, rhs, tol=config.cg_tolerance,
-                      max_iter=config.cg_max_iterations, x0=guess)
+                      max_iter=config.cg_max_iterations,
+                      x0=(t_old,) if guess is None else guess)
 
     growth = params.gamma * t_new * lack
     phi_by_t, phi_by_n = params.delta * t_new, params.beta2 * n_old
@@ -322,10 +323,10 @@ def run(scenario, config: SolverConfig | None = None) -> RunResult:
     caveat: at ``n_sub=180`` the bits follow the number of BLAS threads.
     ``config``, kept only for ``bench/workloads.py``, replaces ``scenario.solver``.
 
-    Each tumor solve starts from the Galerkin projection onto the last four
-    accepted T fields (fewer on the first three steps, or where they are
-    numerically dependent), with that step's matrix: while the fields move
-    smoothly, the solution lies close to their span and CG needs fewer steps.
+    Each tumor solve starts from the Galerkin projection onto the last four T
+    arrays that :func:`step` returned (fewer on the first three steps, or where
+    they are dependent), with that step's matrix: while T moves smoothly, the
+    solution lies close to their span and CG needs fewer steps.
     """
     if config is None:
         config = scenario.solver
@@ -336,15 +337,11 @@ def run(scenario, config: SolverConfig | None = None) -> RunResult:
     violations: list[BoundViolation] = []
     metrics = [compute_sample(state, mesh, scenario.theta)]
     snapshots = [state]  # step allocates new fields and writes no old ones
-    # The last accepted T fields, newest first; step k reads min(k, 4) of them.
-    history = np.empty((4, mesh.num_vertices))
-    history[0] = state.t_field
+    history = [state.t_field]  # the last four accepted T fields, newest first
 
     for k in range(1, n_steps + 1):
         try:
-            state = step(
-                state, scenario.params, mesh, config, guess=history[: min(k, 4)]
-            )
+            state = step(state, scenario.params, mesh, config, guess=history)
         except SolverFailure as exc:
             raise SolverFailure(
                 f"step {k} (t={k * config.dt:.6g}): {exc}",
@@ -353,9 +350,7 @@ def run(scenario, config: SolverConfig | None = None) -> RunResult:
                 step_index=k,
             ) from exc
         state.time = k * config.dt
-        for j in (3, 2, 1):
-            history[j] = history[j - 1]
-        history[0] = state.t_field
+        history = [state.t_field, *history[:3]]
         _check_bounds(state, k, violations)
         if k % config.metrics_every == 0 or k == n_steps:
             metrics.append(compute_sample(state, mesh, scenario.theta))

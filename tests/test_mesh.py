@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -332,6 +333,32 @@ def test_stencil_matvec_matches_csr(n_sub, diagonal, shifted):
         assert (matrix @ x).tobytes() == (csr @ x).tobytes()
     for x in (np.zeros(nv), np.full(nv, -0.0)):
         assert (matrix @ x).tobytes() == (csr @ x).tobytes()
+
+
+def test_stencil_product_is_safe_from_two_threads():
+    # The product keeps no state between calls, so two threads sharing one
+    # operator each get the sequential product's bits.  Exactly two threads
+    # start; the product is elementwise, so BLAS threads play no part.
+    mesh = build_mesh((-9.0, 9.0, -9.0, 9.0), 180)
+    rng = np.random.default_rng(180)
+    nv = mesh.num_vertices
+    matrix = assemble_stiffness(mesh, 1.0 + 55.0 * rng.random(nv), rng.random(nv))
+    xs = rng.standard_normal((2, nv))
+    expected = [(matrix @ x).tobytes() for x in xs]
+    barrier = threading.Barrier(2, timeout=60)
+    wrong = [None, None]  # stays None if a thread raises
+
+    def products(i):
+        barrier.wait()
+        wrong[i] = sum((matrix @ xs[i]).tobytes() != expected[i] for _ in range(200))
+
+    threads = [threading.Thread(target=products, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert wrong == [0, 0]
 
 
 def test_import_and_a_ring_run_load_no_scipy():

@@ -131,8 +131,8 @@ def test_solve_spd_stalls_on_an_indefinite_matrix():
 
 
 @pytest.mark.parametrize("rhs, x0", [
-    ([np.nan, 1.0], None),
-    ([1.0, 1.0], [np.nan, 0.0]),
+    ([np.nan, 1.0], ()),
+    ([1.0, 1.0], [[np.nan, 0.0]]),
 ], ids=["rhs", "x0"])
 def test_solve_spd_rejects_non_finite_input(rhs, x0):
     with pytest.raises(SolverFailure) as info:
@@ -169,7 +169,7 @@ def test_solve_spd_restarts_when_the_recurrence_drifts():
 
 
 def test_solve_spd_leaves_inputs_unmodified():
-    _check_inputs_unmodified((25,))
+    _check_inputs_unmodified((1, 25))
 
 
 def test_solve_spd_leaves_stacked_x0_unmodified():
@@ -238,9 +238,20 @@ def test_solve_spd_stalls_when_the_start_system_is_singular():
     # falls back to zero, and CG reports the stall
     with pytest.raises(SolverFailure) as info:
         solve_spd(sparse.csr_matrix(np.diag([1.0, -1.0])), np.array([0.0, 1.0]),
-                  x0=np.array([1.0, 1.0]))
+                  x0=[np.array([1.0, 1.0])])
     assert info.value.iterations == 0
     assert info.value.residual == 1.0
+
+
+@pytest.mark.parametrize("x0", [np.ones(25), np.ones((1, 24))], ids=["bare", "short"])
+@pytest.mark.parametrize("scale", [1.0, 0.0], ids=["rhs", "zero-rhs"])
+def test_solve_spd_rejects_a_field_of_the_wrong_shape(x0, scale):
+    # x0 is a sequence of fields shaped like rhs: a bare field is a sequence
+    # of scalars, and the check runs before the zero-rhs return
+    rng = np.random.default_rng(19)
+    b = scale * rng.standard_normal(25)
+    with pytest.raises(InvalidParameterError, match="x0 field shape"):
+        solve_spd(random_spd(rng, 25), b, x0=x0)
 
 
 @pytest.mark.parametrize("b", [
@@ -559,14 +570,17 @@ def test_run_projected_guess_saves_matvecs(monkeypatch):
 
 def test_run_guesses_from_the_last_four_tumor_fields(monkeypatch):
     # step k gets the accepted T fields k-1, k-2, ... (at most four), newest
-    # first, with T at t = 0 as field 0
-    guesses, t_fields = [], []
+    # first, with T at t = 0 as field 0: the very arrays that step returned
+    guesses, t_fields, returned = [], [], []
     original = gbmsim.solver.step
 
     def recording_step(state, *args, guess=None, **kwargs):
-        guesses.append(np.array(guess))
+        if not returned:
+            returned.append(state.t_field)
+        guesses.append(list(guess))
         after = original(state, *args, guess=guess, **kwargs)
         t_fields.append(after.t_field.copy())
+        returned.append(after.t_field)
         return after
 
     monkeypatch.setattr(gbmsim.solver, "step", recording_step)
@@ -579,17 +593,18 @@ def test_run_guesses_from_the_last_four_tumor_fields(monkeypatch):
     run(scenario)
 
     nv = mesh.num_vertices
-    assert [g.shape for g in guesses] == [
+    assert [np.shape(g) for g in guesses] == [
         (1, nv), (2, nv), (3, nv), (4, nv), (4, nv), (4, nv), (4, nv)
     ]
     for k, guess in enumerate(guesses, start=1):
         for age, field in enumerate(guess):
             assert np.array_equal(field, t_fields[k - 1 - age])
+            assert field is returned[k - 1 - age]
 
 
 def test_run_snapshots_are_not_views_of_the_guess_history(monkeypatch):
-    # run() rolls the T fields through one buffer; each snapshot must keep
-    # the field that step returned, not the buffer row it was copied into
+    # run() hands the T fields that step returned back to later steps as
+    # their guess; each snapshot must keep its field as step returned it
     returned = []
     original = gbmsim.solver.step
 
