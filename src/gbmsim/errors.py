@@ -3,6 +3,11 @@
 import math
 import operator
 
+__all__ = [
+    "SimulationError", "InvalidParameterError", "MeshError", "SolverFailure",
+    "EmptyRegionError", "ConfigError",
+]
+
 
 class SimulationError(Exception):
     """Base class for all errors raised by this package."""

@@ -23,19 +23,9 @@ from .metrics import DEFAULT_THRESHOLD, check_threshold
 from .solver import RunResult, SimulationState, SolverConfig, run
 
 __all__ = [
-    "DEFAULT_PARAMETERS",
-    "PARAMETER_RANGES",
-    "PARAMETER_NAMES",
-    "DEFAULT_BOUNDS",
-    "DEFAULT_N_SUB",
-    "BumpSpec",
-    "ZoneSpec",
-    "ZonedVasculature",
-    "Scenario",
-    "scenario_ring_width",
-    "scenario_surface_regularity",
-    "sweep_runs",
-    "default_sweep_values",
+    "DEFAULT_PARAMETERS", "PARAMETER_RANGES", "PARAMETER_NAMES", "BumpSpec",
+    "ZoneSpec", "ZonedVasculature", "Scenario", "scenario_ring_width",
+    "scenario_surface_regularity", "sweep_runs", "default_sweep_values",
 ]
 
 PARAMETER_NAMES = tuple(f.name for f in fields(DimensionlessParameters))

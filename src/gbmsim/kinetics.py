@@ -14,12 +14,7 @@ import numpy as np
 
 from .errors import check_range
 
-__all__ = [
-    "DimensionlessParameters",
-    "FieldTriple",
-    "vascular_fraction",
-    "reactions",
-]
+__all__ = ["DimensionlessParameters", "FieldTriple", "vascular_fraction", "reactions"]
 
 
 @dataclass(frozen=True)
@@ -74,13 +69,16 @@ def reactions(state: FieldTriple, p: DimensionlessParameters):
     """The tumor, necrosis and vasculature rates, in that order.  Necrosis
     gains every death term the other two lose (hypoxia and destruction by
     necrosis; destruction by tumor and by necrosis), so it is nonnegative
-    whenever the state is, and never resorbs."""
+    whenever the state is, and never resorbs.  The two destruction-by-necrosis
+    terms read N+ = max(N, 0), as ``vascular_fraction`` reads Phi+ and T+, so
+    a negative N is not a negative death rate that would feed itself."""
     t, n, phi = state.t_density, state.n_density, state.phi_density
     frac = vascular_fraction(phi, t)
     lack = np.sqrt(1.0 - frac * frac)
     crowding = 1.0 - (t + n + phi)
-    hypoxia, t_by_n = p.alpha * t * lack, p.beta1 * n * t
-    phi_by_t, phi_by_n = p.delta * t * phi, p.beta2 * n * phi
+    n_pos = np.maximum(n, 0.0)
+    hypoxia, t_by_n = p.alpha * t * lack, p.beta1 * n_pos * t
+    phi_by_t, phi_by_n = p.delta * t * phi, p.beta2 * n_pos * phi
     return (
         t * frac * crowding - hypoxia - t_by_n,
         hypoxia + t_by_n + phi_by_t + phi_by_n,

@@ -18,16 +18,7 @@ import numpy as np
 
 from .errors import MeshError, check_finite, check_integer, check_range
 
-__all__ = [
-    "StructuredTriMesh",
-    "StencilMatrix",
-    "build_mesh",
-    "check_bounds",
-    "check_n_sub",
-    "vertex_field",
-    "assemble_stiffness",
-    "lumped_integral",
-]
+__all__ = ["StructuredTriMesh", "build_mesh", "assemble_stiffness", "lumped_integral"]
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,7 @@ import numpy as np
 from .errors import EmptyRegionError, InvalidParameterError, SimulationError, check_range
 from .mesh import StructuredTriMesh, lumped_integral, vertex_field
 
-__all__ = [
-    "DEFAULT_THRESHOLD",
-    "check_threshold",
-    "MetricsSample",
-    "max_radius",
-    "compute_sample",
-]
+__all__ = ["DEFAULT_THRESHOLD", "MetricsSample", "max_radius", "compute_sample"]
 
 DEFAULT_THRESHOLD = 0.001
 

@@ -12,17 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_type
 from .mesh import StructuredTriMesh
 from .solver import SimulationState
 
-__all__ = [
-    "METRICS_HEADER",
-    "snapshot_name",
-    "write_metrics_csv",
-    "write_snapshot",
-    "write_trajectory_csv",
-]
+__all__ = ["METRICS_HEADER", "write_metrics_csv", "write_snapshot"]
 
 METRICS_HEADER = "t,rq,sq,area,r_max,int_T,int_TN,int_phi"
 
@@ -85,8 +79,9 @@ def write_snapshot(
 
     The CSV holds "x,y,T,N,Phi" in vertex-index order.  When ``vtk`` is set a
     ``.vtk`` file with the triangulation and three scalar point-data arrays
-    (T, N, Phi) is written next to it.
+    (T, N, Phi) is written next to it.  ``vtk`` must be a bool.
     """
+    check_type("vtk", vtk, bool)
     path = Path(path)
     # Each column is formatted once for both files.
     columns = [

@@ -5,15 +5,19 @@ One step advances the three fields in a fixed order:
 1. Freeze the vascular fraction P and the diffusivity D = kappa1 * P + 1 at
    the old state.
 2. Tumor: one linear solve of (M/dt + A(D) + M c) T_new = M (T_old/dt + g),
-   where the implicit sink c collects the hypoxia rate, destruction by
-   necrosis, and the negative part of the logistic factor, while the explicit
-   gain g = T_old * P * (1 - S)_+ is nonnegative.  M is the lumped mass
-   matrix and A(D) the stiffness matrix, an M-matrix on the structured mesh,
-   so nonnegative input yields nonnegative output.
+   by CG with the settings of the step's ``SolverConfig``, where the
+   implicit sink c collects the hypoxia rate, destruction by necrosis, and
+   the negative part of the logistic factor, while the explicit gain
+   g = T_old * P * (1 - S)_+ is nonnegative.  M is the lumped mass matrix
+   and A(D) the stiffness matrix, an M-matrix on the structured mesh, so
+   nonnegative input yields nonnegative output.
 3. Vasculature: a pointwise linear update with the same implicit-sink /
    explicit-gain split, using the freshly solved tumor field.
 4. Necrosis: gains exactly what the other fields lost, making the discrete
    mass exchange identity hold by construction.
+
+Both destruction-by-necrosis rates read N+ = max(N, 0), so a negative N
+(seeded by the CG tolerance) drives no transfer and cannot feed itself.
 
 Fields are never clamped.  A monitor flags excursions outside
 [-1e-9, 1 + 1e-6] (and negative necrosis) after every accepted step;
@@ -37,16 +41,8 @@ from .mesh import StructuredTriMesh, assemble_stiffness, vertex_field
 from .metrics import MetricsSample, compute_sample
 
 __all__ = [
-    "SolverConfig",
-    "SimulationState",
-    "BoundViolation",
-    "RunResult",
-    "HomogeneousTrajectory",
-    "solve_spd",
-    "step",
-    "run",
-    "run_homogeneous",
-    "homogeneous_start",
+    "SolverConfig", "SimulationState", "BoundViolation", "RunResult",
+    "HomogeneousTrajectory", "solve_spd", "step", "run", "run_homogeneous",
 ]
 
 logger = logging.getLogger(__name__)
@@ -133,27 +129,30 @@ class HomogeneousTrajectory:
         return int(self.times.size)
 
 
-def solve_spd(matrix, rhs, tol: float = SolverConfig.cg_tolerance,
-              max_iter: int = SolverConfig.cg_max_iterations, x0=()):
+def solve_spd(matrix, rhs, config: SolverConfig = SolverConfig(), x0=()):
     """Jacobi-preconditioned conjugate gradients for an SPD system; ``matrix``
     needs only ``@`` and ``diagonal()``.
 
+    It reads tol and the iteration budget from ``config`` (``cg_tolerance``,
+    ``cg_max_iterations``), a :class:`SolverConfig` that has checked both.
     Guarantees ||A x - b|| / ||b|| <= tol on return and is deterministic.
     A retry loop runs CG cycles; after each, one verdict on the true residual
     accepts, restarts from it (the recurrence drifted), or raises
-    :class:`SolverFailure`: the ``max_iter`` budget is spent, or CG stalled
-    (r.z or p.Ap not positive: a non-SPD matrix, or non-finite input).
+    :class:`SolverFailure`: the budget is spent, or CG stalled (r.z or p.Ap
+    not positive: a non-SPD matrix, or non-finite input).
 
-    ``x0`` is a sequence of previous solutions, each shaped like ``rhs`` (else
-    :class:`InvalidParameterError`), newest first: ``()`` starts from zero,
-    and :func:`run` passes up to four.  CG starts from the Galerkin
-    projection onto their span with this ``matrix`` (Chan & Wan, SIAM J.
-    Sci. Comput. 18, 1997): with V the fields in the difference basis
-    [v0, v0 - v1, v0 - 2 v1 + v2, v0 - 3 v1 + 3 v2 - v3], which keeps the
-    small system well conditioned, it solves (V A V^T) c = V b and starts
-    from x = c V, r = b - c (A V), one product per field; numerically
-    dependent fields are dropped first.  The start only changes the
-    iteration count.  Neither ``rhs`` nor ``x0`` is written to.
+    ``rhs`` is a 1-D array of real numbers, and ``x0`` a sequence of previous
+    solutions shaped like it, newest first; any other ``config``, ``rhs`` or
+    field raises :class:`InvalidParameterError`, also for a zero ``rhs``.
+    ``x0 = ()`` starts from zero, and :func:`run` passes up to four.  CG
+    starts from the Galerkin projection onto their span with this ``matrix``
+    (Chan & Wan, SIAM J. Sci. Comput. 18, 1997): with V the fields in the
+    difference basis [v0, v0 - v1, v0 - 2 v1 + v2, v0 - 3 v1 + 3 v2 - v3],
+    which keeps the small system well conditioned, it solves
+    (V A V^T) c = V b and starts from x = c V, r = b - c (A V), one product
+    per field; numerically dependent fields are dropped first.  The start
+    only changes the iteration count.  Neither ``rhs`` nor ``x0`` is
+    written to.
 
     The system is normalized by ||b|| internally.  The norm squares the
     entries, so ||b|| underflows to 0.0 once max|rhs| < ~1e-162, and the
@@ -161,10 +160,10 @@ def solve_spd(matrix, rhs, tol: float = SolverConfig.cg_tolerance,
     passes ``None``): a tumor field that decays that far is flushed to zero,
     far above the binary64 floor.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    for shape in map(np.shape, x0):
-        if shape != rhs.shape:
-            raise InvalidParameterError(f"x0 field shape {shape} is not {rhs.shape}")
+    check_type("config", config, SolverConfig)
+    tol, max_iter = config.cg_tolerance, config.cg_max_iterations
+    rhs = _real_array("rhs", rhs)
+    x0 = [_real_array("x0 field", field, rhs.shape) for field in x0]
     b_norm = math.sqrt(rhs @ rhs)
     if b_norm == 0.0:
         return np.zeros_like(rhs)
@@ -214,6 +213,21 @@ def solve_spd(matrix, rhs, tol: float = SolverConfig.cg_tolerance,
             )
 
 
+def _real_array(name, values, shape=None):
+    """``values`` as a float array, uncopied if it is one; raise
+    :class:`InvalidParameterError` unless it is an array of real numbers of
+    ``shape`` (any 1-D shape if None)."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        array = None
+    if array is None or array.dtype.kind not in "biuf":
+        raise InvalidParameterError(f"{name} must be an array of real numbers, got {values!r}")
+    if (array.ndim != 1) if shape is None else (array.shape != shape):
+        raise InvalidParameterError(f"{name} shape {array.shape} is not {shape or '1-D'}")
+    return array.astype(float, copy=False)
+
+
 def _galerkin_start(matrix, stack):
     """The start ``(x, b - A x)`` of :func:`solve_spd` from ``stack`` (the
     fields, newest first, then b), whose fields become the difference basis V,
@@ -251,7 +265,8 @@ def step(
     """Advance the state by one time step (see module docstring for the
     splitting).
 
-    It reads ``dt``, ``cg_tolerance`` and ``cg_max_iterations`` from ``config``.
+    It reads ``dt`` from ``config`` and hands ``config`` to :func:`solve_spd`,
+    which reads the CG settings from it.
     ``guess`` is the tumor solve's ``x0``: a sequence of previous tumor
     fields, newest first (see :func:`solve_spd`).  It defaults to
     ``(state.t_field,)`` and changes only the iteration count.
@@ -267,8 +282,10 @@ def step(
     crowd_pos = np.maximum(crowding, 0.0)
     crowd_neg = np.maximum(-crowding, 0.0)
 
-    # The death rates per unit of the dying field, named as in kinetics.reactions.
-    hypoxia, t_by_n = params.alpha * lack, params.beta1 * n_old
+    # The death rates per unit of the dying field, named as in kinetics.reactions;
+    # they read N+, so a negative N drives no transfer.
+    n_pos = np.maximum(n_old, 0.0)
+    hypoxia, t_by_n = params.alpha * lack, params.beta1 * n_pos
     weights = mesh.lumped_weights
     gain = t_old * p * crowd_pos
     rhs = weights * (t_old / dt + gain)
@@ -277,12 +294,10 @@ def step(
         mesh, params.kappa1 * p + 1.0,
         weights * (1.0 / dt + (hypoxia + t_by_n + p * crowd_neg)),
     ) if rhs @ rhs else None
-    t_new = solve_spd(system, rhs, tol=config.cg_tolerance,
-                      max_iter=config.cg_max_iterations,
-                      x0=(t_old,) if guess is None else guess)
+    t_new = solve_spd(system, rhs, config, (t_old,) if guess is None else guess)
 
     growth = params.gamma * t_new * lack
-    phi_by_t, phi_by_n = params.delta * t_new, params.beta2 * n_old
+    phi_by_t, phi_by_n = params.delta * t_new, params.beta2 * n_pos
     phi_new = (phi_old + dt * growth * phi_old * crowd_pos) / (
         1.0 + dt * (phi_by_t + phi_by_n + growth * crowd_neg)
     )
@@ -414,11 +429,12 @@ def run_homogeneous(
         crowd_pos = crowding if crowding > 0.0 else 0.0
         crowd_neg = -crowding if crowding < 0.0 else 0.0
 
-        hypoxia, t_by_n = alpha * lack, beta1 * n
+        n_pos = n if n > 0.0 else 0.0
+        hypoxia, t_by_n = alpha * lack, beta1 * n_pos
         sink = hypoxia + t_by_n + p * crowd_neg
         t_new = (t + dt * t * p * crowd_pos) / (1.0 + dt * sink)
         growth = gamma * t_new * lack
-        phi_by_t, phi_by_n = delta * t_new, beta2 * n
+        phi_by_t, phi_by_n = delta * t_new, beta2 * n_pos
         phi_new = (phi + dt * growth * phi * crowd_pos) / (
             1.0 + dt * (phi_by_t + phi_by_n + growth * crowd_neg)
         )

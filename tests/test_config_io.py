@@ -407,6 +407,16 @@ def test_snapshot_vtk_sibling(tmp_path):
         assert f"SCALARS {name} double 1" in vtk
 
 
+@pytest.mark.parametrize("vtk", ["no", 1, None])
+def test_snapshot_vtk_flag_must_be_a_bool(tmp_path, vtk):
+    # The rule RunConfig applies to its vtk: a truthy text writes no file.
+    mesh = build_mesh((0, 1, 0, 1), 2)
+    with pytest.raises(InvalidParameterError) as info:
+        write_snapshot(snapshot_state(mesh), mesh, tmp_path / "snap.csv", vtk=vtk)
+    assert str(info.value) == f"vtk must be a bool, got {vtk!r}"
+    assert list(tmp_path.iterdir()) == []
+
+
 def reference_snapshot_files(state, mesh):
     """CSV and VTK text of a snapshot, one ``repr(float(v))`` per value."""
     def fmt(v):

@@ -169,6 +169,16 @@ def test_reaction_vasculature_mirrors_necrosis_without_tumor():
     )
 
 
+def test_negative_necrosis_destroys_nothing():
+    # Both destruction-by-necrosis rates read N+ = max(N, 0): with N < 0 the
+    # rates are those of beta1 = beta2 = 0 (N still enters the crowding).
+    state = FieldTriple(*map(np.array, ([0.3, 0.0], [-0.1, -1e-12], [0.5, 0.5])))
+    without = replace(TABLE_PARAMS, beta1=0.0, beta2=0.0)
+    for rate, expected in zip(reactions(state, TABLE_PARAMS), reactions(state, without)):
+        assert np.array_equal(rate, expected)
+    assert reactions(state, TABLE_PARAMS)[1][1] == 0.0
+
+
 def test_necrosis_nonnegative_on_random_states():
     rng = np.random.default_rng(7)
     t, n, phi = rng.random((3, 10_000))

@@ -3,6 +3,7 @@
 import importlib
 import pkgutil
 import re
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +25,23 @@ def test_every_name_in_each_modules_all_exists():
         if absent:
             missing[name] = absent
     assert "kinetics" in names and missing == {}
+
+
+def test_the_public_names_are_the_union_of_the_modules_all():
+    # gbmsim republishes each module's __all__ and nothing else; the command
+    # line (cli, and __main__, whose import runs it) stays out.
+    names = [
+        m.name for m in pkgutil.iter_modules(gbmsim.__path__)
+        if m.name not in ("cli", "__main__")
+    ]
+    declared = set()
+    for name in names:
+        declared.update(importlib.import_module(f"gbmsim.{name}").__all__)
+    public = {
+        name for name, value in vars(gbmsim).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert "errors" in names and public == declared
 
 
 def test_every_name_in_the_readme_python_api_exists():

@@ -14,6 +14,7 @@ from scipy import sparse
 
 import gbmsim.solver
 from gbmsim import (
+    DEFAULT_PARAMETERS,
     DimensionlessParameters,
     InvalidParameterError,
     FieldTriple,
@@ -91,7 +92,8 @@ def test_solve_spd_matches_dense_factorization():
         raw = rng.standard_normal((20, 20))
         dense = raw @ raw.T + 20.0 * np.eye(20)
         b = rng.standard_normal(20)
-        x = solve_spd(sparse.csr_matrix(dense), b, tol=1e-12, max_iter=400)
+        x = solve_spd(sparse.csr_matrix(dense), b,
+                      SolverConfig(cg_tolerance=1e-12, cg_max_iterations=400))
         assert np.abs(x - np.linalg.solve(dense, b)).max() <= 1e-8
 
 
@@ -101,7 +103,7 @@ def test_solve_spd_respects_relative_residual():
     dense = raw @ raw.T + 30.0 * np.eye(30)
     matrix = sparse.csr_matrix(dense)
     b = rng.standard_normal(30)
-    x = solve_spd(matrix, b, tol=1e-11)
+    x = solve_spd(matrix, b, SolverConfig(cg_tolerance=1e-11))
     assert np.linalg.norm(matrix @ x - b) <= 1e-11 * np.linalg.norm(b)
 
 
@@ -111,7 +113,7 @@ def test_solve_spd_iteration_budget():
     dense = raw @ raw.T + 1e-3 * np.eye(40)
     with pytest.raises(SolverFailure) as info:
         solve_spd(sparse.csr_matrix(dense), rng.standard_normal(40),
-                  tol=1e-14, max_iter=2)
+                  SolverConfig(cg_tolerance=1e-14, cg_max_iterations=2))
     assert info.value.iterations == 2
     assert info.value.residual > 0
     assert str(info.value).startswith(
@@ -162,8 +164,8 @@ def test_solve_spd_restarts_when_the_recurrence_drifts():
     matrix = random_spd(rng, 30)
     b = rng.standard_normal(30)
     exact, drifting = CountingMatrix(matrix), DriftingMatrix(matrix, 3)
-    solve_spd(exact, b, tol=1e-10)
-    x = solve_spd(drifting, b, tol=1e-10)
+    solve_spd(exact, b, SolverConfig(cg_tolerance=1e-10))
+    x = solve_spd(drifting, b, SolverConfig(cg_tolerance=1e-10))
     assert np.linalg.norm(matrix @ x - b) <= 1e-10 * np.linalg.norm(b)
     assert drifting.matvecs > exact.matvecs
 
@@ -182,7 +184,7 @@ def _check_inputs_unmodified(x0_shape):
     b = rng.standard_normal(25)
     x0 = rng.standard_normal(x0_shape)
     b_before, x0_before = b.copy(), x0.copy()
-    x = solve_spd(matrix, b, tol=1e-12, x0=x0)
+    x = solve_spd(matrix, b, SolverConfig(cg_tolerance=1e-12), x0=x0)
     assert np.array_equal(b, b_before)
     assert np.array_equal(x0, x0_before)
     assert x is not b and x is not x0
@@ -199,7 +201,7 @@ def test_solve_spd_exact_in_span_of_fields(n_fields):
     exact = np.array([0.3, -2.0, 0.7, 1.4][:n_fields]) @ fields
     b = matrix @ exact
     counting = CountingMatrix(matrix)
-    x = solve_spd(counting, b, tol=1e-10, x0=fields)
+    x = solve_spd(counting, b, SolverConfig(cg_tolerance=1e-10), x0=fields)
     assert counting.matvecs <= n_fields + 1
     assert np.linalg.norm(matrix @ x - b) <= 1e-10 * np.linalg.norm(b)
 
@@ -213,7 +215,7 @@ def test_solve_spd_degenerate_stack_still_converges(stack):
     rng = np.random.default_rng(17)
     matrix = random_spd(rng, 25)
     b = rng.standard_normal(25)
-    x = solve_spd(matrix, b, tol=1e-12, x0=stack)
+    x = solve_spd(matrix, b, SolverConfig(cg_tolerance=1e-12), x0=stack)
     assert np.all(np.isfinite(x))
     assert np.linalg.norm(matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
 
@@ -228,7 +230,7 @@ def test_solve_spd_drops_numerically_dependent_fields():
     fields = 0.9 ** np.arange(4)[:, None] * u + 1e-10 * rng.standard_normal((4, 30))
     b = matrix @ fields[0]
     counting = CountingMatrix(matrix)
-    x = solve_spd(counting, b, tol=1e-10, x0=fields)
+    x = solve_spd(counting, b, SolverConfig(cg_tolerance=1e-10), x0=fields)
     assert counting.matvecs <= 3 + 1
     assert np.linalg.norm(matrix @ x - b) <= 1e-10 * np.linalg.norm(b)
 
@@ -252,6 +254,49 @@ def test_solve_spd_rejects_a_field_of_the_wrong_shape(x0, scale):
     b = scale * rng.standard_normal(25)
     with pytest.raises(InvalidParameterError, match="x0 field shape"):
         solve_spd(random_spd(rng, 25), b, x0=x0)
+
+
+@pytest.mark.parametrize("rhs, x0, message", [
+    (["a", "b"], (), "rhs must be an array of real numbers, got ['a', 'b']"),
+    (None, (), "rhs must be an array of real numbers, got None"),
+    ([[1.0, 2.0]], (), "rhs shape (1, 2) is not 1-D"),
+    ([1.0, 2.0], [np.array(["a", "b"])],
+     "x0 field must be an array of real numbers, got array(['a', 'b'], dtype='<U1')"),
+    ([1.0, 2.0], [[1.0, [2.0]]], "x0 field must be an array of real numbers, got [1.0, [2.0]]"),
+    ([0.0, 0.0], [np.array(["a", "b"])],
+     "x0 field must be an array of real numbers, got array(['a', 'b'], dtype='<U1')"),
+], ids=["rhs-text", "rhs-None", "rhs-2d", "x0-text", "x0-ragged", "x0-text-zero-rhs"])
+def test_solve_spd_rejects_input_that_is_not_a_real_array(rhs, x0, message):
+    # One rule for rhs and each x0 field: an array of real numbers, rhs 1-D
+    # and each field shaped like it, checked before any arithmetic.
+    with pytest.raises(InvalidParameterError) as info:
+        solve_spd(sparse.diags([2.0, 4.0]).tocsr(), rhs, x0=x0)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("config", [2.0, None, {"cg_tolerance": 2.0}])
+@pytest.mark.parametrize("scale", [1.0, 0.0], ids=["rhs", "zero-rhs"])
+def test_solve_spd_takes_its_settings_from_a_solver_config(config, scale):
+    # The CG settings come only from a SolverConfig, which checked them; the
+    # type check runs before the zero-rhs return.
+    with pytest.raises(InvalidParameterError) as info:
+        solve_spd(sparse.diags([2.0, 4.0]).tocsr(), np.array([2.0, 8.0]) * scale, config)
+    assert str(info.value) == f"config must be a SolverConfig, got {config!r}"
+
+
+def test_step_hands_its_config_to_solve_spd(monkeypatch):
+    seen = []
+    original = gbmsim.solver.solve_spd
+
+    def recording_solve(matrix, rhs, config, x0):
+        seen.append(config)
+        return original(matrix, rhs, config, x0)
+
+    monkeypatch.setattr(gbmsim.solver, "solve_spd", recording_solve)
+    mesh = build_mesh((-9, 9, -9, 9), 6)
+    config = SolverConfig(cg_tolerance=1e-12, cg_max_iterations=7)
+    step(uniform_state(mesh, t=0.3, n=0.2, phi=0.6), TABLE_PARAMS, mesh, config)
+    assert len(seen) == 1 and seen[0] is config
 
 
 @pytest.mark.parametrize("b", [
@@ -689,6 +734,29 @@ def test_homogeneous_necrosis_bounded_and_monotone():
     assert np.all(np.diff(trajectory.n_density) >= 0.0)
     assert np.isfinite(trajectory.n_density[-1])
     assert trajectory.n_density[-1] < 2.0
+
+
+def test_negative_necrosis_stays_put_in_the_homogeneous_update():
+    # With T = 0 and N+ = 0 every term that N gains is exactly 0, so N keeps
+    # its start bit for bit (with N as the rate it would grow at beta2 Phi).
+    trajectory = run_homogeneous(
+        FieldTriple(0.0, -1e-12, 0.5), DEFAULT_PARAMETERS, SolverConfig(t_final=10.0)
+    )
+    assert len(trajectory) == 11
+    assert np.all(trajectory.t_density == 0.0)
+    assert np.all(trajectory.n_density == -1e-12)
+
+
+def test_negative_necrosis_at_one_vertex_stays_put_in_step():
+    # The same update on a mesh: a zero tumor field gives a zero rhs, and the
+    # one negative N vertex gains nothing over 100 steps.
+    mesh = build_mesh((-9, 9, -9, 9), 6)
+    state = start = uniform_state(mesh, phi=0.5)
+    start.n_field[17] = -1e-12
+    for _ in range(100):
+        state = step(state, DEFAULT_PARAMETERS, mesh)
+    assert np.all(state.t_field == 0.0)
+    assert np.array_equal(state.n_field, start.n_field)
 
 
 def test_homogeneous_samples_every_step():
