@@ -3,6 +3,8 @@
 import math
 import operator
 
+import numpy as np
+
 __all__ = [
     "SimulationError", "InvalidParameterError", "MeshError", "SolverFailure",
     "EmptyRegionError", "ConfigError",
@@ -42,6 +44,22 @@ def check_range(name, value, fits, requirement, error=InvalidParameterError):
         raise error(f"{name} must {requirement}, got {value!r}")
     if not finite:
         raise error(f"{name} must be finite, got {value!r}")
+
+
+def check_array(name, values, fits, shape, error=InvalidParameterError):
+    """The one rule of an array the API takes: ``values`` as a float array,
+    uncopied if it is one.  Raise ``error`` with "<name> must be an array of
+    real numbers, got <values>" for text, complex, object or ragged input,
+    then with "<name> has shape <s>, not <shape>" unless ``fits(s)``."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged nesting (numpy < 1.24 gives an object array)
+        array = None
+    if array is None or array.dtype.kind not in "biuf":
+        raise error(f"{name} must be an array of real numbers, got {values!r}")
+    if not fits(array.shape):
+        raise error(f"{name} has shape {array.shape}, not {shape}")
+    return array.astype(float, copy=False)
 
 
 def check_type(name, value, kind):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeshError, check_finite, check_integer, check_range
+from .errors import MeshError, check_array, check_finite, check_integer, check_range
 
 __all__ = ["StructuredTriMesh", "build_mesh", "assemble_stiffness", "lumped_integral"]
 
@@ -164,12 +164,11 @@ def check_bounds(bounds) -> None:
 
 
 def vertex_field(mesh: StructuredTriMesh, name: str, values) -> np.ndarray:
-    """``values`` as a float array; raise :class:`MeshError` naming the field
-    unless it holds one value per vertex of ``mesh``."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (mesh.num_vertices,):
-        raise MeshError(f"{name} has shape {values.shape}, not ({mesh.num_vertices},)")
-    return values
+    """``values`` as a float array (:func:`errors.check_array`); raise
+    :class:`MeshError` naming the field unless it holds one real number per
+    vertex of ``mesh``."""
+    shape = (mesh.num_vertices,)
+    return check_array(name, values, shape.__eq__, shape, MeshError)
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,9 +233,9 @@ class StencilMatrix:
         return y
 
     def toarray(self) -> np.ndarray:
-        dense = np.zeros(self.shape)
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        dense[rows, self.indices] += self.data
+        dense = np.diag(self._centre)
+        for plane, offset in ((self._south, self._m), (self._west, 1)):
+            dense += np.diag(plane, -offset) + np.diag(plane, offset)
         return dense
 
     # A CSR view (``data`` is gathered anew on each read), kept only for the

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyRegionError, InvalidParameterError, SimulationError, check_range
+from .errors import EmptyRegionError, InvalidParameterError, SimulationError
+from .errors import check_array, check_range
 from .mesh import StructuredTriMesh, lumped_integral, vertex_field
 
 __all__ = ["DEFAULT_THRESHOLD", "MetricsSample", "max_radius", "compute_sample"]
@@ -67,10 +68,9 @@ class MetricsSample:
 
 def max_radius(points) -> float:
     """Radius of the smallest circle enclosing ``points``, a finite (n, 2)
-    array; an empty one raises :class:`EmptyRegionError`."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise InvalidParameterError(f"points must be (n, 2), got shape {points.shape}")
+    array (:func:`errors.check_array`); an empty one raises
+    :class:`EmptyRegionError`."""
+    points = check_array("points", points, lambda s: s[1:] == (2,), "(n, 2)")
     if len(points) == 0:
         raise EmptyRegionError("cannot enclose an empty region")
     if not np.isfinite(points).all():
@@ -108,7 +108,7 @@ def compute_sample(
         r_max=r_max,
         tumor_density=tumor_density,
         total_tn_density=total_tn_density,
-        phi_density=lumped_integral(mesh, state.phi_field),
+        phi_density=lumped_integral(mesh, vertex_field(mesh, "Phi", state.phi_field)),
     )
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParameterError, check_type
-from .mesh import StructuredTriMesh
+from .mesh import StructuredTriMesh, vertex_field
 from .solver import SimulationState
 
 __all__ = ["METRICS_HEADER", "write_metrics_csv", "write_snapshot"]
@@ -79,21 +79,18 @@ def write_snapshot(
 
     The CSV holds "x,y,T,N,Phi" in vertex-index order.  When ``vtk`` is set a
     ``.vtk`` file with the triangulation and three scalar point-data arrays
-    (T, N, Phi) is written next to it.  ``vtk`` must be a bool.
+    (T, N, Phi) is written next to it.  ``vtk`` must be a bool, and each
+    field is checked (:func:`mesh.vertex_field`) before any is written.
     """
     check_type("vtk", vtk, bool)
     path = Path(path)
+    fields = (
+        vertex_field(mesh, "T", state.t_field),
+        vertex_field(mesh, "N", state.n_field),
+        vertex_field(mesh, "Phi", state.phi_field),
+    )
     # Each column is formatted once for both files.
-    columns = [
-        _column(values)
-        for values in (
-            mesh.vertices[:, 0],
-            mesh.vertices[:, 1],
-            state.t_field,
-            state.n_field,
-            state.phi_field,
-        )
-    ]
+    columns = [_column(values) for values in (*mesh.vertices.T, *fields)]
     _write_csv(path, "x,y,T,N,Phi", columns)
     if vtk:
         _write_legacy_vtk(state.time, mesh, columns, path.with_suffix(".vtk"))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, SolverFailure
-from .errors import check_finite, check_integer, check_range, check_type
+from .errors import check_array, check_finite, check_integer, check_range, check_type
 from .kinetics import DimensionlessParameters, FieldTriple, vascular_fraction
 from .mesh import StructuredTriMesh, assemble_stiffness, vertex_field
 from .metrics import MetricsSample, compute_sample
@@ -162,8 +162,8 @@ def solve_spd(matrix, rhs, config: SolverConfig = SolverConfig(), x0=()):
     """
     check_type("config", config, SolverConfig)
     tol, max_iter = config.cg_tolerance, config.cg_max_iterations
-    rhs = _real_array("rhs", rhs)
-    x0 = [_real_array("x0 field", field, rhs.shape) for field in x0]
+    rhs = check_array("rhs", rhs, lambda s: len(s) == 1, "1-D")
+    x0 = [check_array("x0 field", field, rhs.shape.__eq__, rhs.shape) for field in x0]
     b_norm = math.sqrt(rhs @ rhs)
     if b_norm == 0.0:
         return np.zeros_like(rhs)
@@ -211,21 +211,6 @@ def solve_spd(matrix, rhs, config: SolverConfig = SolverConfig(), x0=()):
                 residual=residual,
                 iterations=iterations,
             )
-
-
-def _real_array(name, values, shape=None):
-    """``values`` as a float array, uncopied if it is one; raise
-    :class:`InvalidParameterError` unless it is an array of real numbers of
-    ``shape`` (any 1-D shape if None)."""
-    try:
-        array = np.asarray(values)
-    except ValueError:  # a ragged nesting
-        array = None
-    if array is None or array.dtype.kind not in "biuf":
-        raise InvalidParameterError(f"{name} must be an array of real numbers, got {values!r}")
-    if (array.ndim != 1) if shape is None else (array.shape != shape):
-        raise InvalidParameterError(f"{name} shape {array.shape} is not {shape or '1-D'}")
-    return array.astype(float, copy=False)
 
 
 def _galerkin_start(matrix, stack):

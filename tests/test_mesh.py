@@ -22,6 +22,7 @@ from scipy import sparse
 import gbmsim
 from gbmsim import (
     DEFAULT_PARAMETERS,
+    InvalidParameterError,
     MeshError,
     SimulationState,
     StructuredTriMesh,
@@ -29,9 +30,11 @@ from gbmsim import (
     build_mesh,
     compute_sample,
     lumped_integral,
+    max_radius,
     scenario_surface_regularity,
     step,
     vascular_fraction,
+    write_snapshot,
 )
 from gbmsim.errors import check_finite
 
@@ -333,6 +336,8 @@ def test_stencil_matvec_matches_csr(n_sub, diagonal, shifted):
         assert (matrix @ x).tobytes() == (csr @ x).tobytes()
     for x in (np.zeros(nv), np.full(nv, -0.0)):
         assert (matrix @ x).tobytes() == (csr @ x).tobytes()
+    if n_sub <= 45:  # a dense n_sub = 180 matrix would take 8.6 GB
+        assert matrix.toarray().tobytes() == csr.toarray().tobytes()
 
 
 def test_stencil_product_is_safe_from_two_threads():
@@ -445,6 +450,12 @@ def _sample_with(mesh, **fields):
     return compute_sample(_state_with(mesh, **fields), mesh)
 
 
+def _snapshot_with(mesh, **fields):
+    # The fields are checked before anything is written; fields that pass
+    # are written to the null device.
+    return write_snapshot(_state_with(mesh, **fields), mesh, os.devnull)
+
+
 def _shifted(mesh, shift):
     return assemble_stiffness(mesh, np.ones(mesh.num_vertices), shift)
 
@@ -460,6 +471,10 @@ PER_VERTEX_ENTRIES = {
     "lumped_integral": ("field", lumped_integral),
     "compute_sample T": ("T", lambda mesh, bad: _sample_with(mesh, t_field=bad)),
     "compute_sample N": ("N", lambda mesh, bad: _sample_with(mesh, n_field=bad)),
+    "compute_sample Phi": ("Phi", lambda mesh, bad: _sample_with(mesh, phi_field=bad)),
+    "write_snapshot T": ("T", lambda mesh, bad: _snapshot_with(mesh, t_field=bad)),
+    "write_snapshot N": ("N", lambda mesh, bad: _snapshot_with(mesh, n_field=bad)),
+    "write_snapshot Phi": ("Phi", lambda mesh, bad: _snapshot_with(mesh, phi_field=bad)),
 }
 
 
@@ -473,6 +488,38 @@ def test_per_vertex_entry_points_reject_a_field_of_the_wrong_shape(entry, shape)
     message = rf"^{name} has shape {re.escape(str(bad.shape))}, not \({m * m},\)$"
     with pytest.raises(MeshError, match=message):
         call(mesh, bad)
+
+
+def _ragged(shape):
+    values = np.full(shape, 0.2).tolist()
+    return values[:-1] + [[values[-1]]]  # the last entry one level deeper
+
+
+# Arrays of a given shape that are not arrays of real numbers.
+NOT_REAL = {
+    "digits": lambda shape: np.full(shape, "0.2").tolist(),
+    "text": lambda shape: np.full(shape, "a").tolist(),
+    "ragged": _ragged,
+    "complex": lambda shape: np.full(shape, 0.2 + 0j),
+    "object": lambda shape: np.full(shape, 0.2, dtype=object),
+}
+
+
+@pytest.mark.parametrize("kind", list(NOT_REAL))
+@pytest.mark.parametrize("entry", [*PER_VERTEX_ENTRIES, "max_radius"])
+def test_array_entry_points_reject_values_that_are_not_real_numbers(entry, kind):
+    # One rule (errors.check_array) for every array the API takes: text,
+    # even text digits, complex, object and ragged input is refused with
+    # the entry's own error, before any arithmetic.
+    mesh = build_mesh((0, 1, 0, 1), 3)
+    if entry == "max_radius":
+        error, shape = InvalidParameterError, (4, 2)
+        name, call = "points", lambda mesh, bad: max_radius(bad)
+    else:
+        error, shape = MeshError, mesh.num_vertices
+        name, call = PER_VERTEX_ENTRIES[entry]
+    with pytest.raises(error, match=rf"^{name} must be an array of real numbers, got "):
+        call(mesh, NOT_REAL[kind](shape))
 
 
 def test_lumped_integral_constant_field():

@@ -193,9 +193,9 @@ def test_max_radius_empty_region_errors():
     ([[math.nan, 0.0]], "points must be finite"),
     ([[math.inf, 0.0], [0.0, 0.0]], "points must be finite"),
     ([[0.0, 0.0, 5.0], [2.0, 0.0, 5.0], [0.0, 2.0, 5.0]],
-     r"points must be \(n, 2\), got shape \(3, 3\)"),
-    ([[0.0], [1.0]], r"points must be \(n, 2\), got shape \(2, 1\)"),
-    ([0.0, 1.0], r"points must be \(n, 2\), got shape \(2,\)"),
+     r"points has shape \(3, 3\), not \(n, 2\)"),
+    ([[0.0], [1.0]], r"points has shape \(2, 1\), not \(n, 2\)"),
+    ([0.0, 1.0], r"points has shape \(2,\), not \(n, 2\)"),
 ])
 def test_max_radius_rejects_anything_but_finite_points_in_the_plane(
     points, message

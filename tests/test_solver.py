@@ -252,20 +252,33 @@ def test_solve_spd_rejects_a_field_of_the_wrong_shape(x0, scale):
     # of scalars, and the check runs before the zero-rhs return
     rng = np.random.default_rng(19)
     b = scale * rng.standard_normal(25)
-    with pytest.raises(InvalidParameterError, match="x0 field shape"):
+    with pytest.raises(InvalidParameterError, match="x0 field has shape"):
         solve_spd(random_spd(rng, 25), b, x0=x0)
 
 
 @pytest.mark.parametrize("rhs, x0, message", [
     (["a", "b"], (), "rhs must be an array of real numbers, got ['a', 'b']"),
     (None, (), "rhs must be an array of real numbers, got None"),
-    ([[1.0, 2.0]], (), "rhs shape (1, 2) is not 1-D"),
+    ([[1.0, 2.0]], (), "rhs has shape (1, 2), not 1-D"),
+    (["1", "2"], (), "rhs must be an array of real numbers, got ['1', '2']"),
+    ([1.0, [2.0]], (), "rhs must be an array of real numbers, got [1.0, [2.0]]"),
+    (np.array([1.0, 2.0j]), (),
+     "rhs must be an array of real numbers, got array([1.+0.j, 0.+2.j])"),
+    (np.array([1.0, 2.0], dtype=object), (),
+     "rhs must be an array of real numbers, got array([1.0, 2.0], dtype=object)"),
     ([1.0, 2.0], [np.array(["a", "b"])],
      "x0 field must be an array of real numbers, got array(['a', 'b'], dtype='<U1')"),
+    ([1.0, 2.0], [["1", "2"]], "x0 field must be an array of real numbers, got ['1', '2']"),
     ([1.0, 2.0], [[1.0, [2.0]]], "x0 field must be an array of real numbers, got [1.0, [2.0]]"),
+    ([1.0, 2.0], [np.array([1.0, 2.0j])],
+     "x0 field must be an array of real numbers, got array([1.+0.j, 0.+2.j])"),
+    ([1.0, 2.0], [np.array([1.0, 2.0], dtype=object)],
+     "x0 field must be an array of real numbers, got array([1.0, 2.0], dtype=object)"),
     ([0.0, 0.0], [np.array(["a", "b"])],
      "x0 field must be an array of real numbers, got array(['a', 'b'], dtype='<U1')"),
-], ids=["rhs-text", "rhs-None", "rhs-2d", "x0-text", "x0-ragged", "x0-text-zero-rhs"])
+], ids=["rhs-text", "rhs-None", "rhs-2d", "rhs-digits", "rhs-ragged", "rhs-complex",
+        "rhs-object", "x0-text", "x0-digits", "x0-ragged", "x0-complex", "x0-object",
+        "x0-text-zero-rhs"])
 def test_solve_spd_rejects_input_that_is_not_a_real_array(rhs, x0, message):
     # One rule for rhs and each x0 field: an array of real numbers, rhs 1-D
     # and each field shaped like it, checked before any arithmetic.
